@@ -9,6 +9,7 @@ import (
 	"repro/internal/amo"
 	"repro/internal/csync"
 	"repro/internal/guardian"
+	"repro/internal/vtime"
 	"repro/internal/wire"
 	"repro/internal/xrep"
 )
@@ -187,11 +188,12 @@ func flightMain(ctx *guardian.Ctx) {
 		ctx.G.SelfDestruct()
 		return
 	}
+	clock := ctx.G.Node().World().Clock()
 	switch st.org {
 	case OrgSerializer:
 		st.serializer = csync.NewSerializer[string]()
 	case OrgMonitor:
-		st.dateLock = csync.NewKeyLock[string]()
+		st.dateLock = csync.NewKeyLockOn[string](clock)
 	}
 	ctx.G.SetState(st)
 	log := ctx.G.Log()
@@ -258,13 +260,13 @@ func flightMain(ctx *guardian.Ctx) {
 	withDate := func(pr *guardian.Process, date string, fn func(dd *dateData)) {
 		switch st.org {
 		case OrgSerializer:
-			done := make(chan struct{})
+			done := vtime.NewWaiter(clock)
 			st.serializer.Submit(date, func() {
 				fn(st.date(date))
 				st.serializer.Done(date)
-				close(done)
+				done.Wake()
 			})
-			<-done
+			done.Wait()
 		case OrgMonitor:
 			st.dateLock.StartRequest(date)
 			fn(st.date(date))
@@ -350,13 +352,13 @@ func flightMain(ctx *guardian.Ctx) {
 				names = st.date(date).passengers()
 				st.dateLock.EndRequest(date)
 			case OrgSerializer:
-				done := make(chan struct{})
+				done := vtime.NewWaiter(clock)
 				st.serializer.Submit(date, func() {
 					names = st.date(date).passengers()
 					st.serializer.Done(date)
-					close(done)
+					done.Wake()
 				})
-				<-done
+				done.Wait()
 			default:
 				names = st.date(date).passengers()
 			}

@@ -3,10 +3,12 @@ package airline
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/guardian"
+	"repro/internal/vtime"
 	"repro/internal/xrep"
 )
 
@@ -176,6 +178,70 @@ func TestCapacityInvariantUnderConcurrency(t *testing.T) {
 			}
 			if wl != clients*perClient-capacity {
 				t.Fatalf("org %s: %d waitlisted", org, wl)
+			}
+		})
+	}
+}
+
+// TestOrganizationsOnSimulatedClock runs the Figure 1 organizations on a
+// driven simulated clock, with per-request work long enough that
+// concurrent requests for one date queue in the serializer and the
+// monitor's key lock. Those hand-offs are counted waits: Drive must carry
+// every request to completion — a wait the clock could not see would
+// stall it — and capacity must hold as on the wall clock.
+func TestOrganizationsOnSimulatedClock(t *testing.T) {
+	for _, org := range []string{OrgSequential, OrgSerializer, OrgMonitor} {
+		t.Run(org, func(t *testing.T) {
+			clock := vtime.NewSim(time.Unix(0, 0))
+			w := guardian.NewWorld(guardian.Config{Clock: clock})
+			if err := RegisterDefs(w); err != nil {
+				t.Fatal(err)
+			}
+			const capacity = 3
+			sys, err := Deploy(w, SystemConfig{
+				Regions:    []RegionConfig{{Node: "hub", Flights: []int64{1}}},
+				UINodes:    []string{"hub"},
+				Capacity:   capacity,
+				Org:        org,
+				WorkCostUS: 2000,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cli := w.MustAddNode("clerk-node")
+			const clients = 4
+			var mu sync.Mutex
+			granted, waitlisted := 0, 0
+			var finished atomic.Int32
+			for cidx := 0; cidx < clients; cidx++ {
+				a, err := NewAgent(cli, fmt.Sprintf("a%d", cidx))
+				if err != nil {
+					t.Fatal(err)
+				}
+				clock.Go(func() {
+					defer finished.Add(1)
+					for i := 0; i < 3; i++ {
+						out, err := a.Request(sys.Directory[1], "reserve", 1, fmt.Sprintf("p-%d-%d", cidx, i), "dec-10", time.Second)
+						if err != nil {
+							t.Errorf("request: %v", err)
+							return
+						}
+						mu.Lock()
+						switch out {
+						case OutcomeOK:
+							granted++
+						case OutcomeWaitList:
+							waitlisted++
+						default:
+							t.Errorf("unexpected outcome %q", out)
+						}
+						mu.Unlock()
+					}
+				})
+			}
+			clock.Drive(func() bool { return finished.Load() == clients })
+			if granted != capacity || waitlisted != clients*3-capacity {
+				t.Fatalf("org %s: %d granted, %d waitlisted; want %d and %d", org, granted, waitlisted, capacity, clients*3-capacity)
 			}
 		})
 	}

@@ -1,6 +1,10 @@
 package csync
 
-import "sync"
+import (
+	"sync"
+
+	"repro/internal/vtime"
+)
 
 // KeyLock is the monitor of Figure 1c made concrete: the paper's forked
 // processes "synchronize using shared data, e.g., a monitor providing
@@ -10,6 +14,9 @@ import "sync"
 type KeyLock[K comparable] struct {
 	mu    sync.Mutex
 	state map[K]*keyState
+	// clock counts a blocked StartRequest as parked, so a simulated
+	// clock sees the hand-off in EndRequest as the wake-up it is.
+	clock vtime.Clock
 }
 
 type keyState struct {
@@ -18,8 +25,12 @@ type keyState struct {
 }
 
 // NewKeyLock returns an empty per-key monitor.
-func NewKeyLock[K comparable]() *KeyLock[K] {
-	return &KeyLock[K]{state: make(map[K]*keyState)}
+func NewKeyLock[K comparable]() *KeyLock[K] { return NewKeyLockOn[K](vtime.Real{}) }
+
+// NewKeyLockOn returns an empty per-key monitor whose waits are counted on
+// clock, for processes that run on a simulated one.
+func NewKeyLockOn[K comparable](clock vtime.Clock) *KeyLock[K] {
+	return &KeyLock[K]{state: make(map[K]*keyState), clock: clock}
 }
 
 // StartRequest blocks until the caller holds exclusive possession of key.
@@ -39,6 +50,7 @@ func (l *KeyLock[K]) StartRequest(key K) {
 	ch := make(chan struct{})
 	st.waiters = append(st.waiters, ch)
 	l.mu.Unlock()
+	l.clock.Park()
 	<-ch
 }
 
@@ -74,6 +86,7 @@ func (l *KeyLock[K]) EndRequest(key K) {
 	}
 	next := st.waiters[0]
 	st.waiters = st.waiters[1:]
+	l.clock.Unpark()
 	close(next) // possession transfers directly; held stays true
 }
 

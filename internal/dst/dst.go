@@ -21,11 +21,16 @@
 //
 //	go test ./internal/dst -run 'TestSeed$' -dst.seed=N [-dst.bug=...]
 //
-// What is and is not deterministic here — virtual time is driven by
-// vtime.Sim.Drive, but goroutine interleaving within one virtual instant
-// is the Go scheduler's — is discussed in DESIGN.md §7; the invariants are
-// written to be schedule-independent, so a violation is a real bug
-// regardless of interleaving.
+// Virtual time moves on quiescence: every goroutine of a run starts
+// through the clock and parks only on blocking points that hand their
+// wake-up back to it, and vtime.Sim.Drive fires the next timer only when
+// none of them can run. A slow handler therefore holds virtual time
+// still instead of letting timeouts fire under it, and the verdict does
+// not depend on host load. The Go scheduler still interleaves the
+// goroutines one timer wakes; what that does and does not make
+// deterministic is discussed in DESIGN.md §7. The invariants are written
+// to be schedule-independent, so a violation is a real bug regardless of
+// interleaving.
 package dst
 
 import (
@@ -265,9 +270,6 @@ type Options struct {
 	AttemptTimeout time.Duration
 	// Retries is the per-call re-send budget. Zero means 8.
 	Retries int
-	// Settle is the real-time pacing window of vtime.Drive. Zero means the
-	// driver's default.
-	Settle time.Duration
 }
 
 func (o Options) withDefaults() Options {
@@ -323,7 +325,18 @@ func Run(opts Options) *Report {
 // two runs.
 func RunWithSchedule(opts Options, schedule []Event) *Report {
 	opts = opts.withDefaults()
-	rep := &Report{
+	wl, err := newWorkload(opts)
+	if err != nil {
+		rep := newReport(opts, schedule)
+		rep.addViolation("setup", err.Error())
+		return rep
+	}
+	return runWorkload(opts, schedule, wl)
+}
+
+// newReport starts the report of a run.
+func newReport(opts Options, schedule []Event) *Report {
+	return &Report{
 		Seed:       opts.Seed,
 		Workload:   opts.Workload,
 		Profile:    opts.Profile.Name,
@@ -332,11 +345,11 @@ func RunWithSchedule(opts Options, schedule []Event) *Report {
 		Schedule:   schedule,
 		opts:       opts,
 	}
-	wl, err := newWorkload(opts)
-	if err != nil {
-		rep.addViolation("setup", err.Error())
-		return rep
-	}
+}
+
+// runWorkload is RunWithSchedule on an already built workload.
+func runWorkload(opts Options, schedule []Event, wl workload) *Report {
+	rep := newReport(opts, schedule)
 	rep.Nodes = len(wl.allNodes())
 
 	master := rand.New(rand.NewSource(opts.Seed))
@@ -369,6 +382,8 @@ func RunWithSchedule(opts Options, schedule []Event) *Report {
 		w        *guardian.World
 		storeMu  sync.Mutex
 		wrappers = make(map[string]*durable.Wrapper)
+		// closing suppresses fault restarts once the run is torn down.
+		closing atomic.Bool
 	)
 	sw, wrapsStores := wl.(storeWrapper)
 	if opts.StorageFaults != nil || wrapsStores {
@@ -383,12 +398,12 @@ func RunWithSchedule(opts Options, schedule []Event) *Report {
 						return
 					}
 					n.Crash()
-					go func() {
+					clock.Go(func() {
 						clock.Sleep(15 * time.Millisecond)
-						if !n.Alive() {
+						if !n.Alive() && !closing.Load() {
 							_ = n.Restart()
 						}
-					}()
+					})
 				}
 				wr := durable.Wrap(inner, wcfg)
 				storeMu.Lock()
@@ -411,17 +426,25 @@ func RunWithSchedule(opts Options, schedule []Event) *Report {
 		return rep
 	}
 
+	// The audit waits for every client session and the fault executor:
+	// the last of them to finish wakes it.
+	var running atomic.Int32
+	running.Store(int32(opts.Clients) + 1)
+	allFinished := vtime.NewWaiter(clock)
+	finished := func() {
+		if running.Add(-1) == 0 {
+			allFinished.Wake()
+		}
+	}
+
 	// Client sessions: each drives its own sequence of calls from its own
 	// seed-derived stream.
-	var clients sync.WaitGroup
 	for i := 0; i < opts.Clients; i++ {
-		i := i
 		crng := rand.New(rand.NewSource(workSeed + 7919*int64(i)))
-		clients.Add(1)
-		go func() {
-			defer clients.Done()
+		clock.Go(func() {
+			defer finished()
 			wl.client(i, crng)
-		}()
+		})
 	}
 
 	// Storage bursts scale every node's injected fault rates for a
@@ -439,9 +462,8 @@ func RunWithSchedule(opts Options, schedule []Event) *Report {
 	// times relative to the workload's own timers. Kills are permanent:
 	// a later EvRestart of a killed node (an overlapping crash window) is
 	// suppressed, so "killed" really means never coming back.
-	execDone := make(chan struct{})
-	go func() {
-		defer close(execDone)
+	clock.Go(func() {
+		defer finished()
 		killed := make(map[string]bool)
 		for _, ev := range schedule {
 			if d := ev.At - clock.Since(start); d > 0 {
@@ -455,7 +477,7 @@ func RunWithSchedule(opts Options, schedule []Event) *Report {
 			}
 			applyEvent(w, ev, setStorageScale)
 		}
-	}()
+	})
 
 	crashed := false
 	for _, ev := range schedule {
@@ -469,14 +491,14 @@ func RunWithSchedule(opts Options, schedule []Event) *Report {
 	// like the checker's own synchronizing calls — needs network timers to
 	// fire.
 	var done atomic.Bool
-	go func() {
+	clock.Go(func() {
 		defer done.Store(true)
-		clients.Wait()
-		<-execDone
+		allFinished.Wait()
 		w.Quiesce()
-		// Quiesce covers network deliveries; give same-node dispatch
-		// goroutines a moment of real time too.
-		time.Sleep(2 * time.Millisecond)
+		// Quiesce covers network deliveries; a nanosecond's sleep parks
+		// the audit until every same-node dispatch they started has run
+		// too, since the clock cannot move before then.
+		clock.Sleep(time.Nanosecond)
 		rep.VirtualElapsed = clock.Since(start)
 		rep.Net = w.Net().Stats()
 		storeMu.Lock()
@@ -495,9 +517,21 @@ func RunWithSchedule(opts Options, schedule []Event) *Report {
 			crashed = true
 		}
 		wl.check(w, rep, crashed)
-	}()
-	clock.Drive(done.Load, vtime.DriveOptions{Settle: opts.Settle})
+	})
+	clock.Drive(done.Load)
 	rep.RealElapsed = time.Since(realStart)
+
+	// Tear the world down so no simulated goroutine outlives the run:
+	// every guardian dies, and the clock drains the packets and timers
+	// still pending. A sweep runs many seeds in one process; without this
+	// each would leave its parked processes behind.
+	closing.Store(true)
+	_ = w.Close() // simulated stores and network hold nothing to release
+	drainEnd := clock.Now().Add(time.Minute)
+	clock.Drive(func() bool {
+		_, pending := clock.NextDeadline()
+		return !pending || !clock.Now().Before(drainEnd)
+	})
 	return rep
 }
 

@@ -363,22 +363,11 @@ func (b *bankReplicaWorkload) check(w *guardian.World, rep *Report, crashed bool
 	rep.Retries = b.met.Retries.Load()
 	defer b.replStats(rep)
 
-	clock := w.Clock()
-	waitUntil := func(limit time.Duration, cond func() bool) bool {
-		for waited := time.Duration(0); waited < limit; waited += 5 * time.Millisecond {
-			if cond() {
-				return true
-			}
-			clock.Sleep(5 * time.Millisecond)
-		}
-		return cond()
-	}
-
 	// Failover liveness: some live member must end up leading with a
 	// serving branch — the schedule always leaves a quorum alive.
 	var leader string
 	var lst *replica.Store
-	if !waitUntil(3*time.Second, func() bool {
+	if !waitUntil(w.Clock(), 3*time.Second, func() bool {
 		leader, lst = b.findLeader(w)
 		return lst != nil
 	}) {
@@ -484,7 +473,7 @@ func (b *bankReplicaWorkload) check(w *guardian.World, rep *Report, crashed bool
 		if st == nil || st.Diverged() {
 			continue
 		}
-		if !waitUntil(3*time.Second, func() bool {
+		if !waitUntil(w.Clock(), 3*time.Second, func() bool {
 			l, err := st.Inner().OpenLog(logName)
 			return err == nil && l.LastDurableSeq() >= leaderSeq
 		}) {

@@ -196,23 +196,6 @@ func (s *ringWorkload) rebalanceOpts(ns *nameserv.Client) bank.RebalanceOptions 
 	}
 }
 
-// ringGetRetry wraps the single-attempt nameserv client: under
-// simulation a same-node call can miss its virtual-clock timeout window,
-// so a fetch that matters is retried.
-func ringGetRetry(pr *guardian.Process, ns *nameserv.Client, timeout time.Duration, attempts int) (nameserv.RingState, error) {
-	var rs nameserv.RingState
-	var err error
-	for i := 0; i < attempts; i++ {
-		if rs, err = ns.RingGet(ringName, timeout); err == nil {
-			return rs, nil
-		}
-		if !pr.Pause(5 * time.Millisecond) {
-			return rs, err
-		}
-	}
-	return rs, err
-}
-
 // client 0 is the rebalancer: it bootstraps epoch 1, then paces the
 // joins and leaves across the horizon. Sessions >= 1 are bank traffic.
 func (s *ringWorkload) client(i int, crng *rand.Rand) {
@@ -275,7 +258,7 @@ func (s *ringWorkload) rebalancer(pr *guardian.Process, ns *nameserv.Client, crn
 		if gap > 0 {
 			pr.Pause(time.Duration(float64(gap) * (0.5 + crng.Float64())))
 		}
-		rs, err := ringGetRetry(pr, ns, ropts.Timeout, 8)
+		rs, err := ns.RingGet(ringName, ropts.Timeout)
 		if err != nil || rs.CommittedEpoch == 0 {
 			return
 		}
@@ -430,17 +413,6 @@ func (s *ringWorkload) check(w *guardian.World, rep *Report, crashed bool) {
 	s.mu.Unlock()
 	rep.Retries = s.met.Retries.Load()
 
-	clock := w.Clock()
-	waitUntil := func(limit time.Duration, cond func() bool) bool {
-		for waited := time.Duration(0); waited < limit; waited += 5 * time.Millisecond {
-			if cond() {
-				return true
-			}
-			clock.Sleep(5 * time.Millisecond)
-		}
-		return cond()
-	}
-
 	// Bring every crashed node back and prove each branch serves.
 	for _, node := range s.crashNodes() {
 		n, err := w.Node(node)
@@ -499,7 +471,7 @@ func (s *ringWorkload) check(w *guardian.World, rep *Report, crashed bool) {
 		}
 		rep.Rebalances++
 	}
-	rs, err := ringGetRetry(pr, ns, ropts.Timeout, 40)
+	rs, err := ns.RingGet(ringName, ropts.Timeout)
 	if err != nil || rs.CommittedEpoch == 0 {
 		rep.addViolation("rebalance", "no committed ring after run: %v", err)
 		return
@@ -530,7 +502,7 @@ func (s *ringWorkload) check(w *guardian.World, rep *Report, crashed bool) {
 			rep.addViolation("drain", "coordinator restart: %v", err)
 			return
 		}
-		drained := waitUntil(3*time.Second, func() bool {
+		drained := waitUntil(w.Clock(), 3*time.Second, func() bool {
 			g, ok := coordNode.GuardianByID(s.coordID)
 			if !ok {
 				return false

@@ -116,8 +116,9 @@ func TestSweepProgress(t *testing.T) {
 // swept over multiple seeds, must hold every per-shard invariant; and a
 // single-seed re-run must reproduce the sweep's run exactly.
 //
-// ~75s per seed on one core; push CI skips it (-skip TestScaleSweep),
-// the nightly job runs it.
+// About a second per seed on a 2-vCPU host: vtime.Drive advances on
+// quiescence, so wall time tracks CPU time. Push CI runs it with
+// everything else; the nightly job runs it verbosely.
 func TestScaleSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("202-node sweep skipped in -short mode")

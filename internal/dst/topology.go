@@ -475,17 +475,6 @@ func (s *shardedWorkload) check(w *guardian.World, rep *Report, crashed bool) {
 		defer s.replStats(rep)
 	}
 
-	clock := w.Clock()
-	waitUntil := func(limit time.Duration, cond func() bool) bool {
-		for waited := time.Duration(0); waited < limit; waited += 5 * time.Millisecond {
-			if cond() {
-				return true
-			}
-			clock.Sleep(5 * time.Millisecond)
-		}
-		return cond()
-	}
-
 	cnode, err := w.Node(clientsNode)
 	if err != nil {
 		rep.addViolation("setup", "clients node missing: %v", err)
@@ -511,7 +500,7 @@ func (s *shardedWorkload) check(w *guardian.World, rep *Report, crashed bool) {
 		if s.topo.replicated() {
 			var leader string
 			var lst *replica.Store
-			if !waitUntil(3*time.Second, func() bool {
+			if !waitUntil(w.Clock(), 3*time.Second, func() bool {
 				leader, lst = s.findLeader(w, si)
 				return lst != nil
 			}) {

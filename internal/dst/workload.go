@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/durable"
 	"repro/internal/guardian"
+	"repro/internal/vtime"
 )
 
 // Node names shared by both workloads: one server node the schedule may
@@ -60,6 +61,19 @@ func pace(pr *guardian.Process, crng *rand.Rand, opts Options) {
 		return
 	}
 	pr.Pause(time.Duration(float64(mean) * (0.5 + crng.Float64())))
+}
+
+// waitUntil polls cond every 5ms of virtual time until it holds or limit
+// has passed, and reports whether it held. Audits use it to give recovery,
+// elections and handoffs time to finish before they look.
+func waitUntil(clock vtime.Clock, limit time.Duration, cond func() bool) bool {
+	for waited := time.Duration(0); waited < limit; waited += 5 * time.Millisecond {
+		if cond() {
+			return true
+		}
+		clock.Sleep(5 * time.Millisecond)
+	}
+	return cond()
 }
 
 // branchArgs builds the bank branch bootstrap arguments implied by the

@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"repro/internal/durable"
+	"repro/internal/vtime"
 	"repro/internal/xrep"
 )
 
@@ -62,6 +63,9 @@ type Guardian struct {
 
 	killOnce sync.Once
 	killCh   chan struct{}
+	// killEv is killCh's counted twin: processes waiting on a simulated
+	// clock subscribe to it rather than select on killCh.
+	killEv vtime.Event
 
 	mu          sync.Mutex
 	ports       map[uint64]*Port
@@ -111,7 +115,9 @@ func (g *Guardian) DefName() string {
 }
 
 // Killed returns a channel closed when the guardian dies (node crash or
-// self-destruct). Long-running processes select on it.
+// self-destruct). Long-running processes select on it on the wall clock;
+// on a simulated clock a bare wait on it is invisible to the clock, so
+// they wait with Receive, Pause or Await, which all end on death.
 func (g *Guardian) Killed() <-chan struct{} { return g.killCh }
 
 // Alive reports whether the guardian is still running.
@@ -126,7 +132,10 @@ func (g *Guardian) Alive() bool {
 
 // kill tears the guardian down: processes are signalled, ports closed.
 func (g *Guardian) kill() {
-	g.killOnce.Do(func() { close(g.killCh) })
+	g.killOnce.Do(func() {
+		close(g.killCh)
+		g.killEv.Fire()
+	})
 	g.mu.Lock()
 	ports := make([]*Port, 0, len(g.ports))
 	for _, p := range g.ports {
@@ -222,10 +231,10 @@ func (g *Guardian) Spawn(name string, fn func(p *Process)) *Process {
 	g.mu.Unlock()
 	pr := &Process{g: g, name: fmt.Sprintf("%s/%d", name, id)}
 	g.procs.Add(1)
-	go func() {
+	g.node.world.clock.Go(func() {
 		defer g.procs.Done()
 		fn(pr)
-	}()
+	})
 	return pr
 }
 

@@ -509,7 +509,7 @@ func (n *Node) routeFrame(f *wire.Frame) error {
 		if !n.Alive() {
 			return ErrNodeDown
 		}
-		go func() {
+		n.world.clock.Go(func() {
 			f2, err := wire.UnmarshalFrame(raw)
 			if err != nil {
 				n.world.stats.DiscardBadFrame.Add(1)
@@ -519,7 +519,7 @@ func (n *Node) routeFrame(f *wire.Frame) error {
 				return
 			}
 			n.dispatchFrame(f2)
-		}()
+		})
 		return nil
 	}
 	pkts, err := wire.Fragment(f.MsgID, raw, n.world.cfg.FragmentMTU)

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/vtime"
 	"repro/internal/xrep"
 )
 
@@ -27,11 +28,45 @@ type Port struct {
 	discarded atomic.Int64
 }
 
-// waiter is one blocked Receive. The first port to deliver claims it.
+// waiter is one blocked Receive, Pause or Await. The first source to
+// claim it — a port delivering, the timeout, the guardian's death, a
+// Signal — ends the wait by sending on ch: the message, or one of the
+// sentinels below.
 type waiter struct {
 	ch      chan *Message
 	claimed atomic.Bool
+	// vc is the world's simulated clock, nil on the wall clock. On a Sim
+	// the claimer counts the waiting process runnable again.
+	vc *vtime.Sim
 }
+
+// Sentinels a waiter receives when its wait ends without a message.
+var (
+	endTimeout  = &Message{}
+	endKilled   = &Message{}
+	endSignaled = &Message{}
+)
+
+// end claims w and, if that succeeded, ends its wait with m.
+func (w *waiter) end(m *Message) bool {
+	if !w.claimed.CompareAndSwap(false, true) {
+		return false
+	}
+	w.wake(m)
+	return true
+}
+
+// wake hands m to a waiter its caller has claimed.
+func (w *waiter) wake(m *Message) {
+	if w.vc != nil {
+		w.vc.Unpark()
+	}
+	w.ch <- m
+}
+
+// Wake implements vtime.Wakeable: the guardian's kill event ends a
+// counted wait.
+func (w *waiter) Wake() bool { return w.end(endKilled) }
 
 // Name returns the port's global name, which may be sent in messages.
 func (p *Port) Name() xrep.PortName { return p.name }
@@ -76,7 +111,7 @@ func (p *Port) deliver(m *Message) bool {
 		p.waiters = p.waiters[1:]
 		if w.claimed.CompareAndSwap(false, true) {
 			p.mu.Unlock()
-			w.ch <- m
+			w.wake(m)
 			p.enqueued.Add(1)
 			return true
 		}

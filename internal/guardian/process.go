@@ -1,6 +1,7 @@
 package guardian
 
 import (
+	"sync"
 	"time"
 
 	"repro/internal/wire"
@@ -151,7 +152,7 @@ func (pr *Process) Receive(timeout time.Duration, ports ...*Port) (*Message, Rec
 		return nil, RecvTimeout
 	}
 
-	w := &waiter{ch: make(chan *Message, 1)}
+	w := pr.newWaiter()
 	for _, p := range ports {
 		p.addWaiter(w)
 	}
@@ -164,13 +165,26 @@ func (pr *Process) Receive(timeout time.Duration, ports ...*Port) (*Message, Rec
 	// scan and addWaiter saw no waiters and went to the buffer, where it
 	// would sit for the full timeout while this process sleeps. Claiming
 	// our own waiter closes the window; if a deliver claimed it first, the
-	// select below completes immediately from w.ch.
+	// wait below completes immediately from w.ch.
 	for _, p := range ports {
 		if m := p.claimQueued(w); m != nil {
 			return m, RecvOK
 		}
 	}
+	return pr.wait(w, timeout)
+}
 
+// newWaiter returns a fresh wait for this process.
+func (pr *Process) newWaiter() *waiter {
+	return &waiter{ch: make(chan *Message, 1), vc: pr.g.node.world.vclock}
+}
+
+// wait blocks until a source claims w, the timeout (Infinite: none)
+// elapses, or the guardian dies.
+func (pr *Process) wait(w *waiter, timeout time.Duration) (*Message, RecvStatus) {
+	if w.vc != nil {
+		return pr.waitCounted(w, timeout)
+	}
 	var timeoutC <-chan time.Time
 	if timeout > 0 {
 		t := pr.g.node.world.clock.NewTimer(timeout)
@@ -195,9 +209,38 @@ func (pr *Process) Receive(timeout time.Duration, ports ...*Port) (*Message, Rec
 	}
 }
 
+// waitCounted is wait on a simulated clock. Every way the wait can end
+// claims w, and the claimer counts the process runnable again, so the
+// process blocks on w.ch alone: the timeout is an AfterFunc timer and
+// death comes through the guardian's kill event.
+func (pr *Process) waitCounted(w *waiter, timeout time.Duration) (*Message, RecvStatus) {
+	pr.g.killEv.Subscribe(w)
+	defer pr.g.killEv.Unsubscribe(w)
+	if timeout > 0 {
+		t := w.vc.AfterFunc(timeout, func() { w.end(endTimeout) })
+		defer t.Stop()
+	}
+	w.vc.Park()
+	switch m := <-w.ch; m {
+	case endTimeout:
+		return nil, RecvTimeout
+	case endKilled:
+		return nil, RecvKilled
+	default:
+		return m, RecvOK
+	}
+}
+
 // Pause sleeps on the world clock, returning early (false) if the
 // guardian is killed.
 func (pr *Process) Pause(d time.Duration) bool {
+	if pr.g.node.world.vclock != nil {
+		if d <= 0 {
+			return pr.g.Alive()
+		}
+		_, st := pr.waitCounted(pr.newWaiter(), d)
+		return st == RecvTimeout
+	}
 	t := pr.g.node.world.clock.NewTimer(d)
 	defer t.Stop()
 	select {
@@ -206,4 +249,52 @@ func (pr *Process) Pause(d time.Duration) bool {
 	case <-pr.g.killCh:
 		return false
 	}
+}
+
+// Signal is a coalescing wake-up for one process, the counted form of a
+// buffered(1) "poke" channel: Notify wakes the process blocked in Await
+// on it, or, if none is, makes the next Await return at once. The zero
+// value is ready to use.
+type Signal struct {
+	mu      sync.Mutex
+	pending bool
+	w       *waiter
+}
+
+// Notify wakes the waiting process, or leaves the wake-up pending.
+func (s *Signal) Notify() {
+	s.mu.Lock()
+	w := s.w
+	s.w = nil
+	s.mu.Unlock()
+	if w != nil && w.end(endSignaled) {
+		return
+	}
+	s.mu.Lock()
+	s.pending = true
+	s.mu.Unlock()
+}
+
+// Await blocks until s is notified (RecvOK), d elapses (RecvTimeout), or
+// the guardian dies (RecvKilled).
+func (pr *Process) Await(s *Signal, d time.Duration) RecvStatus {
+	if !pr.g.Alive() {
+		return RecvKilled
+	}
+	s.mu.Lock()
+	if s.pending {
+		s.pending = false
+		s.mu.Unlock()
+		return RecvOK
+	}
+	w := pr.newWaiter()
+	s.w = w
+	s.mu.Unlock()
+	_, st := pr.wait(w, d)
+	s.mu.Lock()
+	if s.w == w {
+		s.w = nil
+	}
+	s.mu.Unlock()
+	return st
 }

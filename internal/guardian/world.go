@@ -125,7 +125,11 @@ type Stats struct {
 type World struct {
 	cfg   Config
 	clock vtime.Clock
-	tr    transport.Transport
+	// vclock is the clock when it is a simulated one, nil on the wall
+	// clock: blocking points take their counted path only on a Sim, so
+	// real-time worlds run the uncounted code unchanged.
+	vclock *vtime.Sim
+	tr     transport.Transport
 	// sim is the simulator network when the transport is (or wraps) one;
 	// nil for worlds on a real transport.
 	sim *netsim.Network
@@ -158,6 +162,7 @@ func NewWorld(cfg Config) *World {
 		nodes: make(map[string]*Node),
 		defs:  make(map[string]*GuardianDef),
 	}
+	w.vclock, _ = cfg.Clock.(*vtime.Sim)
 	if cfg.Transport != nil {
 		w.tr = cfg.Transport
 	} else {

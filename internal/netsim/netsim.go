@@ -10,7 +10,8 @@
 //
 // All randomness flows from a single seeded source so fault schedules are
 // reproducible; all fate decisions (loss, duplication, corruption, delay)
-// are drawn at Send time, after which delivery goroutines only sleep on the
+// are drawn at Send time, after which delivery goroutines — started with
+// the clock's Go, so a simulated clock counts them — only sleep on the
 // supplied clock and invoke the destination handler.
 package netsim
 
@@ -100,7 +101,10 @@ type Network struct {
 	stats    Stats
 	inflight int        // packets accepted but not yet delivered or dropped
 	idle     *sync.Cond // broadcast when inflight returns to zero
-	closed   bool
+	// quiescers counts Quiesce callers parked on idle; the delivery that
+	// empties the network unparks them on the clock.
+	quiescers int
+	closed    bool
 }
 
 type linkKey struct{ from, to Addr }
@@ -220,9 +224,13 @@ func (n *Network) Stats() Stats {
 // trigger new sends (a handler replying), so this is a counter + condition
 // variable rather than a WaitGroup: a send racing the wait simply extends
 // it, instead of tripping the WaitGroup reuse panic.
+//
+// A caller on a simulated clock counts as parked while it waits.
 func (n *Network) Quiesce() {
 	n.mu.Lock()
 	for n.inflight > 0 {
+		n.quiescers++
+		n.clock.Park()
 		n.idle.Wait()
 	}
 	n.mu.Unlock()
@@ -316,7 +324,7 @@ func (n *Network) Send(from, to Addr, payload []byte) error {
 		if p.corrupt {
 			buf[corruptBit/8] ^= 1 << (corruptBit % 8)
 		}
-		go n.deliver(from, to, buf, p.delay)
+		n.clock.Go(func() { n.deliver(from, to, buf, p.delay) })
 	}
 	return nil
 }
@@ -326,6 +334,9 @@ func (n *Network) delivered() {
 	n.mu.Lock()
 	n.inflight--
 	if n.inflight == 0 {
+		for ; n.quiescers > 0; n.quiescers-- {
+			n.clock.Unpark()
+		}
 		n.idle.Broadcast()
 	}
 	n.mu.Unlock()

@@ -39,11 +39,11 @@ func termLogName(group string) string { return "_replica-" + group }
 type waiter struct {
 	log string
 	seq uint64
-	ch  chan struct{}
+	w   *vtime.Waiter
 }
 
 // shipJob is one replicated batch waiting for the ship loop to transmit.
-type shipJob struct{ ch chan struct{} }
+type shipJob struct{ w *vtime.Waiter }
 
 // Runtime is a member's replication state machine. It is created with
 // the Store (so it exists before the world does) and attaches to the
@@ -54,7 +54,7 @@ type Runtime struct {
 	cfg Config
 
 	termLog durable.Log
-	shipC   chan struct{}
+	ship    guardian.Signal // pokes the ship loop
 
 	mu        sync.Mutex
 	g         *guardian.Guardian
@@ -92,9 +92,9 @@ type Runtime struct {
 	// format.
 	frontier map[string][]span
 
-	// Leader-only state. fence is closed on deposition or crash; every
-	// blocked replicate() select includes it, and the application
-	// guardian is killed BEFORE it closes, so a Sync released by the
+	// Leader-only state. fence fires on deposition or crash; every
+	// blocked replicate() wait subscribes to it, and the application
+	// guardian is killed BEFORE it fires, so a Sync released by the
 	// fence can never acknowledge its client (Process.send fails on a
 	// killed guardian). suspect marks members that reported themselves
 	// quarantined; forked marks (member, log) pairs caught acking past
@@ -103,7 +103,7 @@ type Runtime struct {
 	// suspect by the member's own healed (non-diverged) ack, a forked
 	// entry only by a possible ack for THAT log — so an unrelated clean
 	// ack cannot launder a detected fork.
-	fence     chan struct{}
+	fence     *vtime.Event
 	acks      map[string]map[string]uint64 // member -> log -> durable seq
 	published map[string]uint64            // log -> highest seq handed to shipping
 	baseline  map[string]uint64            // log -> durable tail when this reign began
@@ -124,6 +124,9 @@ type Runtime struct {
 	// consumed at the next lock acquisition — a spawned finisher, or
 	// attach at the latest — always before any post-restart decision.
 	pendingReset atomic.Bool
+	// spawnClock is the world clock, kept for reset's finisher goroutine,
+	// which must start without taking mu.
+	spawnClock atomic.Pointer[vtime.Clock]
 
 	stats Stats
 }
@@ -146,7 +149,7 @@ func newRuntime(s *Store, cfg Config) (*Runtime, error) {
 	if err != nil {
 		return nil, err
 	}
-	rt := &Runtime{st: s, cfg: cfg, termLog: tl, shipC: make(chan struct{}, 1)}
+	rt := &Runtime{st: s, cfg: cfg, termLog: tl}
 	cp, recs, rerr := tl.Recover()
 	if rerr != nil && rerr != durable.ErrNoCheckpoint {
 		return nil, rerr
@@ -383,6 +386,8 @@ func (rt *Runtime) attach(ctx *guardian.Ctx) {
 	}
 	rt.g = ctx.G
 	rt.clock = w.Clock()
+	clock := rt.clock
+	rt.spawnClock.Store(&clock)
 	rt.hb = rt.cfg.Heartbeat
 	if rt.hb <= 0 {
 		rt.hb = t.HeartbeatInterval
@@ -458,12 +463,7 @@ func (rt *Runtime) adoptApp(g *guardian.Guardian, ports []xrep.PortName) {
 }
 
 // pokeShip nudges the ship loop without waiting for its timer.
-func (rt *Runtime) pokeShip() {
-	select {
-	case rt.shipC <- struct{}{}:
-	default:
-	}
-}
+func (rt *Runtime) pokeShip() { rt.ship.Notify() }
 
 // preSync is called by repLog.Sync BEFORE the batch becomes locally
 // durable. On the leader it persists the risk marker — "records of my
@@ -500,7 +500,7 @@ func (rt *Runtime) preSync(log string, firstSeq uint64) {
 // batch is locally durable. On followers and unattached members it is a
 // no-op (their writes are the apply path or pre-bootstrap setup). On the
 // leader it publishes the batch to the ship loop and, in quorum mode,
-// blocks until a majority holds it — or the fence closes.
+// blocks until a majority holds it — or the fence fires.
 func (rt *Runtime) replicate(log string, recs []durable.Record) {
 	if len(recs) == 0 {
 		return
@@ -513,6 +513,7 @@ func (rt *Runtime) replicate(log string, recs []durable.Record) {
 	mode := rt.cfg.Mode
 	hooks := rt.cfg.Hooks
 	fence := rt.fence
+	clock := rt.clock
 	top := recs[len(recs)-1].Seq
 	rt.mu.Unlock()
 
@@ -520,7 +521,7 @@ func (rt *Runtime) replicate(log string, recs []durable.Record) {
 		hooks.BeforeShip(log)
 	}
 
-	job := &shipJob{ch: make(chan struct{})}
+	job := &shipJob{w: vtime.NewWaiter(clock)}
 	rt.mu.Lock()
 	if rt.published == nil {
 		rt.published = make(map[string]uint64)
@@ -534,9 +535,7 @@ func (rt *Runtime) replicate(log string, recs []durable.Record) {
 	rt.mu.Unlock()
 	rt.pokeShip()
 
-	select {
-	case <-job.ch:
-	case <-fence:
+	if !awaitUnfenced(job.w, fence) {
 		return
 	}
 	if hooks.AfterShip != nil {
@@ -554,18 +553,26 @@ func (rt *Runtime) replicate(log string, recs []durable.Record) {
 	if rt.quorumForLocked(log, top) {
 		rt.mu.Unlock()
 	} else {
-		w := &waiter{log: log, seq: top, ch: make(chan struct{})}
+		w := &waiter{log: log, seq: top, w: vtime.NewWaiter(clock)}
 		rt.waiters = append(rt.waiters, w)
 		rt.mu.Unlock()
-		select {
-		case <-w.ch:
-		case <-fence:
+		if !awaitUnfenced(w.w, fence) {
 			return
 		}
 	}
 	if hooks.AfterQuorum != nil {
 		hooks.AfterQuorum(log)
 	}
+}
+
+// awaitUnfenced blocks on w — released by the ship loop or by a quorum of
+// acks — or on the reign's fence, whichever comes first. It reports false
+// when the fence has fired.
+func awaitUnfenced(w *vtime.Waiter, fence *vtime.Event) bool {
+	fence.Subscribe(w)
+	w.Wait()
+	fence.Unsubscribe(w)
+	return !fence.Fired()
 }
 
 // noteCheckpoint wakes the ship loop so followers learn about a
@@ -641,7 +648,7 @@ func (rt *Runtime) becomeLeader(term uint64, viaElection bool) {
 	rt.role = roleLeader
 	rt.leader = rt.cfg.Self
 	rt.votes = nil
-	rt.fence = make(chan struct{})
+	rt.fence = new(vtime.Event)
 	rt.acks = make(map[string]map[string]uint64)
 	rt.published = make(map[string]uint64)
 	rt.baseline = make(map[string]uint64)
@@ -712,9 +719,9 @@ func (rt *Runtime) takeover(appLog string) {
 
 // stepDownLocked adopts a higher term, deposing this member if it led.
 // Called with rt.mu held; the caller MUST SelfDestruct the returned
-// application guardian BEFORE closing the returned fence — that order is
+// application guardian BEFORE firing the returned fence — that order is
 // what guarantees a fence-released Sync cannot acknowledge its client.
-func (rt *Runtime) stepDownLocked(newTerm uint64) (appG *guardian.Guardian, fence chan struct{}) {
+func (rt *Runtime) stepDownLocked(newTerm uint64) (appG *guardian.Guardian, fence *vtime.Event) {
 	wasLeader := rt.role == roleLeader
 	rt.term = newTerm
 	rt.votedFor = ""
@@ -754,7 +761,7 @@ func (rt *Runtime) observe(term uint64, leader, appLog string) (stale bool) {
 		return true
 	}
 	var appG *guardian.Guardian
-	var fence chan struct{}
+	var fence *vtime.Event
 	if term > rt.term {
 		appG, fence = rt.stepDownLocked(term)
 	}
@@ -775,7 +782,7 @@ func (rt *Runtime) observe(term uint64, leader, appLog string) (stale bool) {
 		appG.SelfDestruct()
 	}
 	if fence != nil {
-		close(fence)
+		fence.Fire()
 	}
 	return false
 }
@@ -790,7 +797,7 @@ func (rt *Runtime) bounce(pr *guardian.Process, to string) {
 }
 
 // reset returns the runtime to a blank follower: the node crashed (store
-// Crash). Persisted term state survives; the fence is closed so any Sync
+// Crash). Persisted term state survives; the fence fires so any Sync
 // blocked in replicate returns (its guardian is already dead, so no
 // acknowledgement escapes). A crashing leader evaluates its divergence
 // exactly the way a live deposition would — the in-memory Runtime
@@ -812,10 +819,15 @@ func (rt *Runtime) reset() {
 		rt.finishResetLocked()
 		return
 	}
-	go func() {
+	finish := func() {
 		rt.mu.Lock()
 		rt.finishResetLocked()
-	}()
+	}
+	if c := rt.spawnClock.Load(); c != nil {
+		(*c).Go(finish)
+	} else {
+		go finish()
+	}
 }
 
 // finishResetLocked consumes a pending reset. Called with mu held; always
@@ -841,7 +853,7 @@ func (rt *Runtime) finishResetLocked() {
 	rt.fence = nil
 	rt.mu.Unlock()
 	if fence != nil {
-		close(fence)
+		fence.Fire()
 	}
 }
 
@@ -865,7 +877,7 @@ func (rt *Runtime) shutdown() {
 	rt.fence = nil
 	rt.mu.Unlock()
 	if fence != nil {
-		close(fence)
+		fence.Fire()
 	}
 }
 
@@ -901,14 +913,8 @@ func (rt *Runtime) shipLoop(pr *guardian.Process) {
 		rt.mu.Lock()
 		hb := rt.hb
 		rt.mu.Unlock()
-		t := rt.clock.NewTimer(hb)
-		select {
-		case <-pr.Killed():
-			t.Stop()
+		if pr.Await(&rt.ship, hb) == guardian.RecvKilled {
 			return
-		case <-rt.shipC:
-			t.Stop()
-		case <-t.C():
 		}
 		rt.tick(pr)
 	}
@@ -957,7 +963,7 @@ func (rt *Runtime) tick(pr *guardian.Process) {
 		rt.startElection(pr)
 	}
 	for _, j := range jobs {
-		close(j.ch)
+		j.w.Wake()
 	}
 }
 
@@ -1493,7 +1499,7 @@ func (rt *Runtime) onAck(pr *guardian.Process, m *guardian.Message) {
 		_ = pr.Send(PortAt(mem), "rep_fork", rt.cfg.Group, int64(term), name)
 	}
 	for _, w := range release {
-		close(w.ch)
+		w.w.Wake()
 	}
 }
 

@@ -1,6 +1,7 @@
 package vtime
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -139,6 +140,19 @@ func TestSimStopPreventsFire(t *testing.T) {
 	if tm.Stop() {
 		t.Fatal("second Stop reported true")
 	}
+	if n := s.PendingTimers(); n != 0 {
+		t.Fatalf("PendingTimers = %d after Stop, want 0 (Stop must remove the timer from the heap)", n)
+	}
+	// A stopped AfterFunc timer never runs its callback either.
+	ran := false
+	ft := s.AfterFunc(time.Second, func() { ran = true })
+	if !ft.Stop() {
+		t.Fatal("Stop reported false on a pending AfterFunc timer")
+	}
+	s.Advance(2 * time.Second)
+	if ran {
+		t.Fatal("stopped AfterFunc timer ran its callback")
+	}
 }
 
 func TestSimSleepWakesOnAdvance(t *testing.T) {
@@ -195,6 +209,32 @@ func TestSimNextDeadlineSkipsStopped(t *testing.T) {
 	}
 	if !d.Equal(time.Unix(5, 0)) {
 		t.Fatalf("NextDeadline = %v, want t=5s (stopped timer must be skipped)", d)
+	}
+	// Stopping timers from the middle of the heap keeps it ordered: after
+	// stopping every other timer, the survivors come out in deadline order.
+	var timers []Timer
+	for i := 10; i > 0; i-- {
+		timers = append(timers, s.NewTimer(time.Duration(i)*time.Second+time.Millisecond))
+	}
+	for i := 0; i < len(timers); i += 2 {
+		timers[i].Stop()
+	}
+	if n := s.PendingTimers(); n != 6 {
+		t.Fatalf("PendingTimers = %d, want 6 (the 5s timer and five survivors)", n)
+	}
+	var got []time.Duration
+	for {
+		d, ok := s.NextDeadline()
+		if !ok {
+			break
+		}
+		got = append(got, d.Sub(time.Unix(0, 0)))
+		s.AdvanceTo(d)
+	}
+	want := []time.Duration{time.Second + time.Millisecond, 3*time.Second + time.Millisecond,
+		5 * time.Second, 5*time.Second + time.Millisecond, 7*time.Second + time.Millisecond, 9*time.Second + time.Millisecond}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("deadlines after stops = %v, want %v", got, want)
 	}
 }
 
