@@ -442,12 +442,6 @@ func buildWorld(o *options) (*guardian.World, localAddresser, *transport.Wrapper
 			return nil, nil, nil, nil, err
 		}
 		base = tcp
-		// Streams have no MTU: let the runtime ship a whole message as one
-		// frame instead of fragment trains sized for ethernet datagrams.
-		cfg.FragmentMTU = o.mtu
-		if cfg.FragmentMTU == 0 {
-			cfg.FragmentMTU = transport.DefaultTCPMaxFrame
-		}
 	default:
 		o.peers[transport.Addr(o.name)] = o.listen
 		udp, err := transport.NewUDP(transport.UDPConfig{

@@ -40,11 +40,10 @@ var E17Defaults = E17Params{
 // kernel's loopback, and framed persistent TCP connections (two
 // transports, two listeners — a stream has distinct endpoints by
 // construction). The latency table is descriptive: what the experiment
-// *claims* is the second table, the ceiling the stream removes. A
-// datagram transport refuses any packet over its MTU, so an external rep
-// bigger than ~64 KiB can never cross UDP no matter how the runtime
-// fragments; over TCP the same rep rides a single frame and round-trips
-// intact.
+// *claims* is the second table, the ceiling the stream removes. UDP cuts
+// a frame into MTU-sized packets but refuses any frame over 65507 bytes,
+// the UDP maximum, so an external rep bigger than ~64 KiB can never cross
+// it; over TCP the same rep rides a single frame and round-trips intact.
 func RunE17Transport(p E17Params, scale Scale) (*Result, error) {
 	p.Rounds = scale.N(p.Rounds, 200)
 	res := &Result{ID: "E17 (extension: stream transport)"}
@@ -112,8 +111,8 @@ func RunE17Transport(p E17Params, scale Scale) (*Result, error) {
 		return nil, err
 	}
 	// The TCP column round-trips the whole rep through a guardian echo:
-	// one two-world pair reused across sizes, FragmentMTU raised to the
-	// frame bound so each rep ships as a single frame.
+	// one two-world pair reused across sizes, each rep shipping as a
+	// single frame.
 	wSrv, wCli, err := e17TCPWorlds()
 	if err != nil {
 		return nil, err
@@ -165,10 +164,8 @@ func e17TCPWorlds() (*guardian.World, *guardian.World, error) {
 		cliTr.Close()
 		return nil, nil, err
 	}
-	// Streams have no MTU: let the runtime ship a whole rep as one frame.
-	mtu := transport.DefaultTCPMaxFrame
-	wSrv := guardian.NewWorld(guardian.Config{Transport: srvTr, FragmentMTU: mtu})
-	wCli := guardian.NewWorld(guardian.Config{Transport: cliTr, FragmentMTU: mtu})
+	wSrv := guardian.NewWorld(guardian.Config{Transport: srvTr})
+	wCli := guardian.NewWorld(guardian.Config{Transport: cliTr})
 	return wSrv, wCli, nil
 }
 

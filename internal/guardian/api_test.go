@@ -15,12 +15,6 @@ func TestConfigDefaults(t *testing.T) {
 	if cfg.DefaultPortCapacity != 64 {
 		t.Fatalf("DefaultPortCapacity = %d", cfg.DefaultPortCapacity)
 	}
-	if cfg.FragmentMTU != 16*1024 {
-		t.Fatalf("FragmentMTU = %d", cfg.FragmentMTU)
-	}
-	if cfg.ReassemblyAge != 30*time.Second {
-		t.Fatalf("ReassemblyAge = %v", cfg.ReassemblyAge)
-	}
 	if cfg.Limits != xrep.DefaultLimits {
 		t.Fatalf("Limits = %+v", cfg.Limits)
 	}

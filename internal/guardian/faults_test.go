@@ -116,58 +116,6 @@ func TestDuplicatedMessagesDeliveredOnce(t *testing.T) {
 	}
 }
 
-func TestPartialFragmentsEvicted(t *testing.T) {
-	// A fragmented message that loses packets must not pin reassembly
-	// state forever: the sweep abandons it after ReassemblyAge.
-	w, port, seen := deployCollector(t, Config{
-		FragmentMTU:   256,
-		ReassemblyAge: 50 * time.Millisecond,
-		Net:           netsim.Config{Seed: 2, LossRate: 0.5},
-	})
-	cli := w.MustAddNode("cli")
-	_, drv, err := cli.NewDriver("d")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Big messages: ~8 fragments each, so at 50% loss nearly every message
-	// loses at least one fragment and strands a partial assembly.
-	big := xrep.Seq{xrep.Int(1), xrep.Bytes(make([]byte, 1500))}
-	bigPort := NewPortType("b").Msg("blob", xrep.KindInt, xrep.KindBytes)
-	w.MustRegister(&GuardianDef{
-		TypeName: "blobsink",
-		Provides: []*PortType{bigPort},
-		Init: func(ctx *Ctx) {
-			//lint:allow recvhygiene deterministic in-memory test world; the test deadline bounds any hang
-			NewReceiver(ctx.Ports[0]).
-				When("blob", func(pr *Process, m *Message) { seen <- m.Int(0) }).
-				Loop(ctx.Proc, nil)
-		},
-	})
-	srv, _ := w.Node("srv")
-	created, err := srv.Bootstrap("blobsink")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 50; i++ {
-		if err := drv.Send(created.Ports[0], "blob", big[0], big[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	w.Quiesce()
-	// Keep traffic flowing so the lazy sweep runs after the age passes.
-	time.Sleep(80 * time.Millisecond)
-	for i := 0; i < 5; i++ {
-		if err := drv.Send(port, "data", 0); err != nil {
-			t.Fatal(err)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	w.Quiesce()
-	if n := srv.reasm.Pending(); n > 5 {
-		t.Fatalf("%d partial messages still pinned after sweep age", n)
-	}
-}
-
 func TestPartitionAndHeal(t *testing.T) {
 	w, port, seen := deployCollector(t, Config{})
 	cli := w.MustAddNode("cli")

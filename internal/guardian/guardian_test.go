@@ -407,7 +407,7 @@ func TestMessagesBetweenNodesUseNetwork(t *testing.T) {
 }
 
 func TestLargeMessageFragmentsAndReassembles(t *testing.T) {
-	w, a, b := newWorld(t, Config{FragmentMTU: 512})
+	w, a, b := newWorld(t, Config{Net: netsim.Config{MTU: 512}})
 	registerEcho(t, w)
 	created, err := a.Bootstrap("echo")
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/durable"
 	"repro/internal/stable"
@@ -40,10 +39,6 @@ type Node struct {
 	// which remote principals may create which guardians here. Nil allows
 	// everything.
 	allowCreate func(srcNode string, srcGuardian uint64, defName string) bool
-
-	reasm     *wire.Reassembler
-	lastSweep time.Time
-	sweepMu   sync.Mutex
 }
 
 // guardianMeta is the catalog record for one guardian.
@@ -78,7 +73,6 @@ func newNode(w *World, name string) (*Node, error) {
 		reg:       xrep.NewRegistry(),
 		guardians: make(map[uint64]*Guardian),
 		meta:      make(map[uint64]*guardianMeta),
-		reasm:     wire.NewReassembler(),
 	}, nil
 }
 
@@ -132,7 +126,7 @@ func (n *Node) start() error {
 	n.alive = true
 	n.epoch++
 	n.mu.Unlock()
-	if err := n.world.tr.Attach(transport.Addr(n.name), n.handlePacket); err != nil {
+	if err := n.world.tr.Attach(transport.Addr(n.name), n.handleFrame); err != nil {
 		n.mu.Lock()
 		n.alive = false
 		n.mu.Unlock()
@@ -195,7 +189,7 @@ func (n *Node) Restart() error {
 	}
 	n.mu.Unlock()
 
-	if err := n.world.tr.Attach(transport.Addr(n.name), n.handlePacket); err != nil {
+	if err := n.world.tr.Attach(transport.Addr(n.name), n.handleFrame); err != nil {
 		n.mu.Lock()
 		n.alive = false
 		n.mu.Unlock()
@@ -395,40 +389,23 @@ func (n *Node) Takeover(defName, logName string, args ...any) (*Created, error) 
 	return created, nil
 }
 
-// handlePacket is the node's network attachment: reassemble, verify,
-// dispatch. Runs on the transport's delivery (or socket receive-loop)
-// goroutines. from is the transport-level source — the logical node name
-// on the simulator, an observed "ip:port" on UDP — used only to key
-// fragment reassembly; everything else comes from the frame.
-func (n *Node) handlePacket(from transport.Addr, payload []byte) {
+// handleFrame is the node's network attachment: verify, dispatch. Runs
+// on the transport's delivery goroutines. from is the transport-level
+// source (a node name on the simulator, "ip:port" on UDP), used only to
+// teach the transport a reply route.
+func (n *Node) handleFrame(from transport.Addr, raw []byte) {
 	if !n.Alive() {
 		return
 	}
-	now := n.world.clock.Now()
-	n.sweepMu.Lock()
-	if now.Sub(n.lastSweep) > n.world.cfg.ReassemblyAge {
-		n.lastSweep = now
-		n.reasm.Sweep(now, n.world.cfg.ReassemblyAge)
-	}
-	n.sweepMu.Unlock()
-
-	frameBytes, err := n.reasm.Add(string(from), payload, now)
-	if err != nil {
-		n.world.stats.DiscardBadFrame.Add(1)
-		return
-	}
-	if frameBytes == nil {
-		return // waiting for more fragments
-	}
-	f, err := wire.UnmarshalFrame(frameBytes)
-	if err != nil {
+	var f wire.Frame
+	if err := f.Unmarshal(raw); err != nil {
 		n.world.stats.DiscardBadFrame.Add(1)
 		return
 	}
 	// A verified frame names its sender; teach the transport where that
 	// name was observed so replies route without static configuration.
 	n.world.tr.Learn(transport.Addr(f.SrcNode), from)
-	n.dispatchFrame(f)
+	n.dispatchFrame(&f)
 }
 
 // dispatchFrame routes a complete, verified frame to its target port,
@@ -472,8 +449,10 @@ func (n *Node) dispatchFrame(f *wire.Frame) {
 		return
 	}
 	st.MessagesDelivered.Add(1)
-	n.world.trace(EvDeliver, n.name, "%s(..) from %s/%d to guardian %d port %d",
-		f.Command, f.SrcNode, f.SrcGuardian, f.Dest.Guardian, f.Dest.Port)
+	if n.world.tracer.Load() != nil { // spares boxing trace's arguments
+		n.world.trace(EvDeliver, n.name, "%s(..) from %s/%d to guardian %d port %d",
+			f.Command, f.SrcNode, f.SrcGuardian, f.Dest.Guardian, f.Dest.Port)
+	}
 }
 
 // failureReply sends the system failure message to a discarded message's
@@ -496,42 +475,41 @@ func (n *Node) failureReply(f *wire.Frame, text string) {
 	n.routeFrame(reply)
 }
 
-// routeFrame marshals, fragments and transmits a frame toward its
-// destination node. Local destinations bypass the network but keep the
-// marshal/unmarshal round trip, preserving value-copy semantics while
+// frameBufs recycles marshal buffers: Transport.Send does not keep a
+// frame, and a local one is decoded before routeFrame returns.
+var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// routeFrame marshals a frame and hands it to the transport toward its
+// destination node; cutting it into packets, if the network needs that,
+// is the transport's job. Local destinations bypass the network but keep
+// the marshal/unmarshal round trip, preserving value-copy semantics while
 // making intra-node communication cheap (§2.1).
 func (n *Node) routeFrame(f *wire.Frame) error {
-	raw, err := f.Marshal()
+	buf := frameBufs.Get().(*[]byte)
+	defer frameBufs.Put(buf)
+	raw, err := f.AppendMarshal((*buf)[:0])
 	if err != nil {
 		return err
 	}
-	if f.Dest.Node == n.name {
-		if !n.Alive() {
-			return ErrNodeDown
-		}
-		n.world.clock.Go(func() {
-			f2, err := wire.UnmarshalFrame(raw)
-			if err != nil {
-				n.world.stats.DiscardBadFrame.Add(1)
-				return
-			}
-			if !n.Alive() {
-				return
-			}
-			n.dispatchFrame(f2)
-		})
+	*buf = raw
+	if f.Dest.Node != n.name {
+		// Best-effort: a frame the transport refuses (sender detached,
+		// frame too large) is a lost message, as the paper allows.
+		_ = n.world.tr.Send(transport.Addr(n.name), transport.Addr(f.Dest.Node), raw)
 		return nil
 	}
-	pkts, err := wire.Fragment(f.MsgID, raw, n.world.cfg.FragmentMTU)
+	if !n.Alive() {
+		return ErrNodeDown
+	}
+	local, err := wire.UnmarshalFrame(raw)
 	if err != nil {
-		return err
+		n.world.stats.DiscardBadFrame.Add(1)
+		return nil
 	}
-	for _, pkt := range pkts {
-		// Best-effort: transport errors below MTU level mean the node is
-		// detached; the message is simply lost, as the paper allows.
-		if err := n.world.tr.Send(transport.Addr(n.name), transport.Addr(f.Dest.Node), pkt); err != nil {
-			return nil
+	n.world.clock.Go(func() {
+		if n.Alive() {
+			n.dispatchFrame(local)
 		}
-	}
+	})
 	return nil
 }

@@ -1,6 +1,7 @@
 package guardian
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -37,7 +38,8 @@ type waiter struct {
 	claimed atomic.Bool
 	// vc is the world's simulated clock, nil on the wall clock. On a Sim
 	// the claimer counts the waiting process runnable again.
-	vc *vtime.Sim
+	vc    *vtime.Sim
+	timer vtime.Timer // a reused wall-clock wait's timeout, re-armed
 }
 
 // Sentinels a waiter receives when its wait ends without a message.
@@ -108,7 +110,7 @@ func (p *Port) deliver(m *Message) bool {
 	// or by its timeout.
 	for len(p.waiters) > 0 {
 		w := p.waiters[0]
-		p.waiters = p.waiters[1:]
+		p.waiters = slices.Delete(p.waiters, 0, 1) // in place: appends reuse the array
 		if w.claimed.CompareAndSwap(false, true) {
 			p.mu.Unlock()
 			w.wake(m)
@@ -140,7 +142,7 @@ func (p *Port) claimQueued(w *waiter) *Message {
 		return nil
 	}
 	m := p.queue[0]
-	p.queue = p.queue[1:]
+	p.queue = slices.Delete(p.queue, 0, 1)
 	return m
 }
 
@@ -152,7 +154,7 @@ func (p *Port) tryDequeue() *Message {
 		return nil
 	}
 	m := p.queue[0]
-	p.queue = p.queue[1:]
+	p.queue = slices.Delete(p.queue, 0, 1)
 	return m
 }
 

@@ -2,6 +2,7 @@ package guardian
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/wire"
@@ -14,6 +15,9 @@ import (
 type Process struct {
 	g    *Guardian
 	name string
+
+	// rw holds the wait a wall-clock Receive reuses while it is free.
+	rw atomic.Pointer[waiter]
 }
 
 // Guardian returns the process's guardian.
@@ -96,8 +100,7 @@ func (pr *Process) send(to, replyTo xrep.PortName, pt *PortType, command string,
 	if err != nil {
 		return err
 	}
-	limits := pr.g.node.world.cfg.Limits
-	if err := limits.Validate(enc); err != nil {
+	if err := pr.g.node.world.cfg.Limits.ValidateSeq(enc); err != nil {
 		return err
 	}
 	if pt != nil {
@@ -121,8 +124,10 @@ func (pr *Process) send(to, replyTo xrep.PortName, pt *PortType, command string,
 		return err
 	}
 	pr.g.node.world.stats.MessagesSent.Add(1)
-	pr.g.node.world.trace(EvSend, pr.g.node.name, "%s(..) guardian %d -> %s/%d/%d",
-		command, pr.g.id, to.Node, to.Guardian, to.Port)
+	if pr.g.node.world.tracer.Load() != nil { // spares boxing trace's arguments
+		pr.g.node.world.trace(EvSend, pr.g.node.name, "%s(..) guardian %d -> %s/%d/%d",
+			command, pr.g.id, to.Node, to.Guardian, to.Port)
+	}
 	return nil
 }
 
@@ -152,7 +157,7 @@ func (pr *Process) Receive(timeout time.Duration, ports ...*Port) (*Message, Rec
 		return nil, RecvTimeout
 	}
 
-	w := pr.newWaiter()
+	w := pr.takeWaiter()
 	for _, p := range ports {
 		p.addWaiter(w)
 	}
@@ -160,6 +165,7 @@ func (pr *Process) Receive(timeout time.Duration, ports ...*Port) (*Message, Rec
 		for _, p := range ports {
 			p.removeWaiter(w)
 		}
+		pr.putWaiter(w)
 	}()
 	// Re-scan after registering: a message delivered between the fast-path
 	// scan and addWaiter saw no waiters and went to the buffer, where it
@@ -179,6 +185,23 @@ func (pr *Process) newWaiter() *waiter {
 	return &waiter{ch: make(chan *Message, 1), vc: pr.g.node.world.vclock}
 }
 
+// takeWaiter takes the reusable wait if free, else makes one. putWaiter
+// keeps only wall-clock waits, whose wakers are all gone once the wait
+// returns; on a Sim a timeout callback or kill event may outlive it.
+func (pr *Process) takeWaiter() *waiter {
+	if w := pr.rw.Swap(nil); w != nil {
+		w.claimed.Store(false)
+		return w
+	}
+	return pr.newWaiter()
+}
+
+func (pr *Process) putWaiter(w *waiter) {
+	if w.vc == nil {
+		pr.rw.Store(w)
+	}
+}
+
 // wait blocks until a source claims w, the timeout (Infinite: none)
 // elapses, or the guardian dies.
 func (pr *Process) wait(w *waiter, timeout time.Duration) (*Message, RecvStatus) {
@@ -187,8 +210,20 @@ func (pr *Process) wait(w *waiter, timeout time.Duration) (*Message, RecvStatus)
 	}
 	var timeoutC <-chan time.Time
 	if timeout > 0 {
-		t := pr.g.node.world.clock.NewTimer(timeout)
-		defer t.Stop()
+		t := w.timer
+		if r, ok := t.(interface{ Reset(time.Duration) bool }); ok {
+			r.Reset(timeout)
+		} else {
+			t = pr.g.node.world.clock.NewTimer(timeout)
+		}
+		defer func() {
+			// Keep only an unfired timer: a fired one's expiry may still
+			// be in flight (pre-Go 1.23 timers, per this module's go line).
+			w.timer = nil
+			if t.Stop() {
+				w.timer = t
+			}
+		}()
 		timeoutC = t.C()
 	}
 
@@ -234,21 +269,13 @@ func (pr *Process) waitCounted(w *waiter, timeout time.Duration) (*Message, Recv
 // Pause sleeps on the world clock, returning early (false) if the
 // guardian is killed.
 func (pr *Process) Pause(d time.Duration) bool {
-	if pr.g.node.world.vclock != nil {
-		if d <= 0 {
-			return pr.g.Alive()
-		}
-		_, st := pr.waitCounted(pr.newWaiter(), d)
-		return st == RecvTimeout
+	if d <= 0 {
+		return pr.g.Alive()
 	}
-	t := pr.g.node.world.clock.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C():
-		return true
-	case <-pr.g.killCh:
-		return false
-	}
+	w := pr.takeWaiter()
+	defer pr.putWaiter(w)
+	_, st := pr.wait(w, d)
+	return st == RecvTimeout
 }
 
 // Signal is a coalescing wake-up for one process, the counted form of a

@@ -22,7 +22,7 @@ type Config struct {
 	// Net is the fault/delay model of the simulated network built when no
 	// Transport is supplied.
 	Net netsim.Config
-	// Transport, when non-nil, carries the world's packets instead of a
+	// Transport, when non-nil, carries the world's frames instead of a
 	// simulator built from Net — e.g. a transport.UDP for nodes running
 	// as separate OS processes, or a transport.Wrapper injecting faults
 	// around one. The world takes ownership: Close shuts it down.
@@ -42,12 +42,6 @@ type Config struct {
 	// DefaultPortCapacity is the buffer space of ports created without an
 	// explicit capacity. Zero means 64.
 	DefaultPortCapacity int
-	// FragmentMTU is the maximum packet size handed to the network; larger
-	// frames are split and reassembled. Zero means 16 KiB.
-	FragmentMTU int
-	// ReassemblyAge evicts partial messages older than this. Zero means
-	// 30 s.
-	ReassemblyAge time.Duration
 	// Tuning holds the world-wide liveness knobs (heartbeat intervals,
 	// failure thresholds, retry backoff caps) that infrastructure
 	// guardians consult when they are created without explicit values.
@@ -91,12 +85,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DefaultPortCapacity == 0 {
 		c.DefaultPortCapacity = 64
-	}
-	if c.FragmentMTU == 0 {
-		c.FragmentMTU = 16 * 1024
-	}
-	if c.ReassemblyAge == 0 {
-		c.ReassemblyAge = 30 * time.Second
 	}
 	c.Tuning = c.Tuning.withDefaults()
 	return c
@@ -171,6 +159,10 @@ func NewWorld(cfg Config) *World {
 	if src, ok := w.tr.(interface{ Network() *netsim.Network }); ok {
 		w.sim = src.Network()
 	}
+	// A packet dropped for bad bits is a message lost to a checksum.
+	if r, ok := w.tr.(transport.BadPacketReporter); ok {
+		r.OnBadPacket(func(transport.Addr) { w.stats.DiscardBadFrame.Add(1) })
+	}
 	return w
 }
 
@@ -182,7 +174,7 @@ func (w *World) Clock() vtime.Clock { return w.clock }
 // (e.g. UDP); fault-inject such worlds through a transport.Wrapper.
 func (w *World) Net() *netsim.Network { return w.sim }
 
-// Transport returns the transport carrying the world's packets.
+// Transport returns the transport carrying the world's frames.
 func (w *World) Transport() transport.Transport { return w.tr }
 
 // Stats returns the world's runtime counters.

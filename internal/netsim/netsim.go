@@ -68,7 +68,7 @@ type Config struct {
 	// len(payload)/BandwidthBps seconds per packet.
 	BandwidthBps int64
 	// MTU, when positive, bounds the datagram size; larger sends fail with
-	// ErrTooLarge. Fragmentation is the wire layer's job.
+	// ErrTooLarge. Cutting frames to fit is the transport's job.
 	MTU int
 }
 
@@ -134,6 +134,21 @@ func NewWithRand(clock vtime.Clock, cfg Config, rng *rand.Rand) *Network {
 	}
 	n.idle = sync.NewCond(&n.mu)
 	return n
+}
+
+// Clock returns the clock the network delays deliveries on.
+func (n *Network) Clock() vtime.Clock { return n.clock }
+
+// MTU returns the datagram bound of the directed link from→to — its
+// override's if it has one, else the network default. Zero means
+// unbounded.
+func (n *Network) MTU(from, to Addr) int {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if ov, ok := n.links[linkKey{from, to}]; ok {
+		return ov.MTU
+	}
+	return n.defaults.MTU
 }
 
 // Attach registers a handler to receive datagrams addressed to a. Attaching

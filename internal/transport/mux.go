@@ -36,9 +36,10 @@ import (
 //	data:                uvarint len + source node name,
 //	                     uvarint len + destination node name,
 //	                     payload (the rest of the body).
-//	  Source names keep fragment reassembly above keyed per logical
-//	  sender even when several share the stream; destination names pick
-//	  the attached handler.
+//	  Source names tell each logical sender apart even when several
+//	  share the stream; destination names pick the attached handler.
+//	  The payload is one whole frame of the runtime above: a stream
+//	  never cuts frames into packets.
 const (
 	frameSelect      = byte(1)
 	frameSelectAck   = byte(2)

@@ -282,8 +282,9 @@ func (t *TCP) Attached(a Addr) bool {
 	return ok
 }
 
-// Send implements Transport. The frame is queued on the destination
-// peer's connection machine — dialing it first if the link is down — and
+// Send implements Transport. The frame is queued whole, as one data
+// frame, on the destination peer's connection machine — dialing it first
+// if the link is down — and
 // Send returns once that local fate is decided. Frames queued behind a
 // link that never comes back, or beyond the queue bound, are dropped and
 // counted: best-effort, like every transport here.
@@ -308,7 +309,7 @@ func (t *TCP) Send(from, to Addr, payload []byte) error {
 	if h, ok := t.handlers[to]; ok && local {
 		// Destination lives in this process: short-circuit the network.
 		// The source tag keeps the observed from-address shaped exactly
-		// like a remote one, so reassembly and Learn above cannot tell.
+		// like a remote one, so Learn above cannot tell.
 		t.mu.Unlock()
 		t.sent.Add(1)
 		t.delivered.Add(1)
@@ -430,8 +431,7 @@ func (t *TCP) handshakeIncoming(conn net.Conn) {
 // deliver hands one inbound data frame to the attached handler for dst.
 // The observed from-address is "peerAddr|srcName": the peer's advertised
 // address (so Learn can route replies) tagged with the logical source (so
-// fragment reassembly stays keyed per logical sender even when many share
-// the stream).
+// senders stay distinguishable even when many share the stream).
 func (t *TCP) deliver(peerAddr string, src, dst Addr, payload []byte) {
 	t.mu.Lock()
 	h, ok := t.handlers[dst]

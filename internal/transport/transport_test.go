@@ -2,6 +2,7 @@ package transport
 
 import (
 	"errors"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -157,8 +158,20 @@ func TestSendErrors(t *testing.T) {
 	})
 }
 
+// TestUDPMTUEnforced pins the datagram contract: no datagram on the wire
+// exceeds the MTU, however large the frame, and a frame past the UDP
+// ceiling is refused outright.
 func TestUDPMTUEnforced(t *testing.T) {
-	u, err := NewUDP(UDPConfig{Peers: map[Addr]string{"a": "127.0.0.1:0"}, MTU: 512})
+	const mtu = 512
+	raw, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	u, err := NewUDP(UDPConfig{
+		Peers: map[Addr]string{"a": "127.0.0.1:0", "raw": raw.LocalAddr().String()},
+		MTU:   mtu,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,11 +179,31 @@ func TestUDPMTUEnforced(t *testing.T) {
 	if err := u.Attach("a", func(Addr, []byte) {}); err != nil {
 		t.Fatal(err)
 	}
-	if err := u.Send("a", "a", make([]byte, 513)); !errors.Is(err, ErrTooLarge) {
-		t.Fatalf("oversize: %v", err)
+	for _, size := range []int{mtu - 100, mtu, 5000} {
+		if err := u.Send("a", "raw", make([]byte, size)); err != nil {
+			t.Fatalf("frame of %d bytes: %v", size, err)
+		}
 	}
-	if err := u.Send("a", "a", make([]byte, 512)); err != nil {
-		t.Fatalf("at MTU: %v", err)
+	st := u.Stats()
+	if st.Sent < 12 {
+		t.Fatalf("3 frames up to 5000 bytes went out as %d datagrams; want them cut to the %d-byte MTU", st.Sent, mtu)
+	}
+	buf := make([]byte, 70000)
+	for i := int64(0); i < st.Sent; i++ {
+		_ = raw.SetReadDeadline(time.Now().Add(5 * time.Second))
+		n, _, err := raw.ReadFromUDP(buf)
+		if err != nil {
+			t.Fatalf("datagram %d/%d: %v", i+1, st.Sent, err)
+		}
+		if n > mtu {
+			t.Fatalf("datagram of %d bytes on the wire exceeds MTU %d", n, mtu)
+		}
+	}
+	if err := u.Send("a", "raw", make([]byte, maxUDPDatagram+1)); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("frame past the UDP ceiling: %v", err)
+	}
+	if err := u.Send("a", "raw", make([]byte, maxUDPDatagram)); err != nil {
+		t.Fatalf("frame at the UDP ceiling: %v", err)
 	}
 }
 

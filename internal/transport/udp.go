@@ -3,14 +3,22 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// maxUDPDatagram is the largest payload a UDP datagram can carry.
+// maxUDPDatagram is the largest payload a UDP datagram can carry. It is
+// also the largest frame UDP accepts: a longer frame would be a long
+// packet train whose every packet must survive an unreliable network,
+// and messages that big belong on a stream.
 const maxUDPDatagram = 65507
+
+// maxNameCache bounds each receive loop's cache of observed source names.
+const maxNameCache = 4096
 
 // UDPConfig tunes a UDP transport.
 type UDPConfig struct {
@@ -20,9 +28,11 @@ type UDPConfig struct {
 	// Remote entries seed the routing table; peers not listed here are
 	// learned from inbound traffic via Learn.
 	Peers map[Addr]string
-	// MTU bounds the datagram size handed to Send; larger sends fail
-	// with ErrTooLarge. Zero means 1400 (a safe ethernet-path default);
-	// the ceiling is 65507, the UDP maximum.
+	// MTU bounds each datagram on the wire: Send cuts a longer frame
+	// into packets of at most MTU bytes, and the receiver reassembles
+	// them. Zero means 1400 (a safe ethernet-path default); the ceiling
+	// is 65507, the UDP maximum. Frames above 65507 bytes are refused
+	// with ErrTooLarge whatever the MTU.
 	MTU int
 	// RecvWorkers is the number of receive-loop goroutines per attached
 	// socket. Zero means 2. More workers let slow handlers overlap, at
@@ -32,8 +42,8 @@ type UDPConfig struct {
 	// PaceMinGap, when positive, is the minimum spacing between
 	// consecutive datagrams to the same peer. Pacing trades latency for
 	// not overrunning the destination's socket buffer during bursts
-	// (fragment trains are the common case); lost bursts are legal but
-	// wasteful.
+	// (the packet trains of large frames are the common case); lost
+	// bursts are legal but wasteful.
 	PaceMinGap time.Duration
 	// ReadBuffer / WriteBuffer, when positive, request OS socket buffer
 	// sizes in bytes.
@@ -83,15 +93,22 @@ func (p *pacer) reserve(gap time.Duration) time.Duration {
 }
 
 // UDP is a Transport over real UDP sockets. Each attached logical address
-// owns one socket; a pool of receive goroutines reads each socket and
-// invokes the attached handler. The transport adds no reliability of any
-// kind: what UDP loses, duplicates or reorders stays lost, duplicated or
-// reordered, exactly the paper's contract.
+// owns one socket; a pool of receive goroutines reads each socket,
+// reassembles frames per source address and invokes the attached
+// handler. The transport adds no reliability of any kind: what UDP
+// loses, duplicates or reorders stays lost, duplicated or reordered,
+// exactly the paper's contract — a frame missing a packet is never
+// delivered, and a repeated one is delivered once.
+//
+// Packet ids start at a random value per UDP instance, so a restarted
+// process reusing its predecessor's address is not mistaken for a
+// repeat of the frames its predecessor sent.
 type UDP struct {
 	cfg UDPConfig
+	pk  *packetizer
 
 	mu     sync.Mutex
-	peers  map[Addr]*net.UDPAddr // logical name -> where to send
+	peers  map[Addr]netip.AddrPort // logical name -> where to send
 	eps    map[Addr]*udpEndpoint
 	pacers map[Addr]*pacer
 	closed bool
@@ -112,7 +129,8 @@ func NewUDP(cfg UDPConfig) (*UDP, error) {
 	cfg = cfg.withDefaults()
 	u := &UDP{
 		cfg:    cfg,
-		peers:  make(map[Addr]*net.UDPAddr, len(cfg.Peers)),
+		pk:     newPacketizer(rand.Uint64(), time.Now),
+		peers:  make(map[Addr]netip.AddrPort, len(cfg.Peers)),
 		eps:    make(map[Addr]*udpEndpoint),
 		pacers: make(map[Addr]*pacer),
 	}
@@ -132,12 +150,31 @@ func (u *UDP) SetPeer(name Addr, hostport string) error {
 }
 
 func (u *UDP) setPeer(name Addr, hostport string) error {
-	addr, err := net.ResolveUDPAddr("udp", hostport)
+	addr, err := resolveUDP(hostport)
 	if err != nil {
 		return fmt.Errorf("transport: peer %s: %w", name, err)
 	}
 	u.peers[name] = addr
 	return nil
+}
+
+// resolveUDP turns "host:port" into an address, parsing the numeric form
+// without a resolver call.
+func resolveUDP(hostport string) (netip.AddrPort, error) {
+	if ap, err := netip.ParseAddrPort(hostport); err == nil {
+		return unmapped(ap), nil
+	}
+	addr, err := net.ResolveUDPAddr("udp", hostport)
+	if err != nil {
+		return netip.AddrPort{}, err
+	}
+	return unmapped(addr.AddrPort()), nil
+}
+
+// unmapped writes IPv4 addresses in their four-byte form, however the
+// socket API reported them, so one peer always has one name.
+func unmapped(ap netip.AddrPort) netip.AddrPort {
+	return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
 }
 
 // LocalAddr returns the actual bound address of an attached logical name
@@ -173,7 +210,7 @@ func (u *UDP) Attach(a Addr, h Handler) error {
 		u.mu.Unlock()
 		return fmt.Errorf("%w: no listen address configured for %s", ErrUnknownPeer, a)
 	}
-	conn, err := net.ListenUDP("udp", bind)
+	conn, err := net.ListenUDP("udp", net.UDPAddrFromAddrPort(bind))
 	if err != nil {
 		u.mu.Unlock()
 		return fmt.Errorf("transport: bind %s: %w", a, err)
@@ -186,7 +223,7 @@ func (u *UDP) Attach(a Addr, h Handler) error {
 	}
 	// An ephemeral bind (port 0) resolves here; record the real address
 	// so sends from co-located peers in the same process route correctly.
-	u.peers[a] = conn.LocalAddr().(*net.UDPAddr)
+	u.peers[a] = unmapped(conn.LocalAddr().(*net.UDPAddr).AddrPort())
 	ep := &udpEndpoint{conn: conn}
 	ep.handler.Store(&h)
 	u.eps[a] = ep
@@ -198,15 +235,18 @@ func (u *UDP) Attach(a Addr, h Handler) error {
 	return nil
 }
 
-// readLoop reads one socket until it is closed, dispatching each datagram
-// to the endpoint's current handler. The transport-level source address is
-// the datagram's real origin ("ip:port"), kept stable across the peer's
-// lifetime so fragment reassembly keyed on it never splits.
+// readLoop reads one socket until it is closed, reassembling frames and
+// dispatching each to the endpoint's current handler. The
+// transport-level source address is the datagram's real origin
+// ("ip:port"), kept stable across the peer's lifetime so reassembly keyed
+// on it never splits. Frames of one packet are handed up in place, out of
+// the loop's read buffer.
 func (u *UDP) readLoop(ep *udpEndpoint) {
 	defer u.wg.Done()
 	buf := make([]byte, maxUDPDatagram+1)
+	names := make(map[netip.AddrPort]Addr)
 	for {
-		n, src, err := ep.conn.ReadFromUDP(buf)
+		n, src, err := ep.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			if errors.Is(err, net.ErrClosed) {
 				return
@@ -223,11 +263,24 @@ func (u *UDP) readLoop(ep *udpEndpoint) {
 			u.dropped.Add(1)
 			continue
 		}
-		payload := make([]byte, n)
-		copy(payload, buf[:n])
 		u.delivered.Add(1)
 		u.bytesRecv.Add(int64(n))
-		(*h)(Addr(src.String()), payload)
+		from, ok := names[src]
+		if !ok {
+			if len(names) >= maxNameCache {
+				clear(names)
+			}
+			from = Addr(unmapped(src).String())
+			names[src] = from
+		}
+		frame, err := u.pk.receive(from, buf[:n])
+		if err != nil {
+			u.recvErrors.Add(1)
+			continue
+		}
+		if frame != nil {
+			(*h)(from, frame)
+		}
 	}
 }
 
@@ -254,17 +307,26 @@ func (u *UDP) Attached(a Addr) bool {
 	return ok
 }
 
-// Send implements Transport. The datagram leaves from the sender's own
-// socket, so the receiver's observed source address identifies the sender.
-// A failed write counts as a drop, not an error: once the MTU and routing
-// checks pass, the network's best-effort contract has begun.
-func (u *UDP) Send(from, to Addr, payload []byte) error {
-	if len(payload) == 0 {
-		return ErrEmptyPayload
+// Send implements Transport: the frame is cut into packets of at most
+// MTU bytes, each leaving from the sender's own socket, so the
+// receiver's observed source address identifies the sender. A failed
+// write counts as a drop, not an error: once the size and routing checks
+// pass, the network's best-effort contract has begun.
+func (u *UDP) Send(from, to Addr, frame []byte) error {
+	return u.sendWithID(from, to, u.pk.nextID(), frame)
+}
+
+func (u *UDP) nextPacketID() uint64 { return u.pk.nextID() }
+
+func (u *UDP) sendWithID(from, to Addr, id uint64, frame []byte) error {
+	if len(frame) > maxUDPDatagram {
+		return fmt.Errorf("%w: %d > %d", ErrTooLarge, len(frame), maxUDPDatagram)
 	}
-	if len(payload) > u.cfg.MTU {
-		return fmt.Errorf("%w: %d > MTU %d", ErrTooLarge, len(payload), u.cfg.MTU)
-	}
+	return u.pk.send(u, from, to, id, frame, u.cfg.MTU)
+}
+
+// sendPacket writes one datagram.
+func (u *UDP) sendPacket(from, to Addr, pkt []byte) error {
 	u.mu.Lock()
 	if u.closed {
 		u.mu.Unlock()
@@ -299,7 +361,7 @@ func (u *UDP) Send(from, to Addr, payload []byte) error {
 		time.Sleep(wait)
 	}
 	u.sent.Add(1)
-	n, err := ep.conn.WriteToUDP(payload, dst)
+	n, err := ep.conn.WriteToUDPAddrPort(pkt, dst)
 	if err != nil {
 		u.dropped.Add(1)
 		return nil
@@ -312,7 +374,7 @@ func (u *UDP) Send(from, to Addr, payload []byte) error {
 // from, so replies route without static configuration. Attached (local)
 // names are never overwritten — their entry is the bind address.
 func (u *UDP) Learn(name, via Addr) {
-	addr, err := net.ResolveUDPAddr("udp", string(via))
+	addr, err := resolveUDP(string(via))
 	if err != nil {
 		return
 	}
@@ -321,11 +383,11 @@ func (u *UDP) Learn(name, via Addr) {
 	if _, local := u.eps[name]; local {
 		return
 	}
-	if cur, ok := u.peers[name]; ok && cur.String() == addr.String() {
-		return
-	}
 	u.peers[name] = addr
 }
+
+// OnBadPacket implements BadPacketReporter.
+func (u *UDP) OnBadPacket(f func(from Addr)) { u.pk.setOnBad(f) }
 
 // Stats implements Transport.
 func (u *UDP) Stats() Stats {

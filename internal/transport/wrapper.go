@@ -18,7 +18,10 @@ type WrapperConfig struct {
 	// LossRate is the probability in [0,1] that a datagram is silently
 	// dropped before reaching the inner transport.
 	LossRate float64
-	// DupRate is the probability that a datagram is submitted twice.
+	// DupRate is the probability that a datagram is submitted twice. On
+	// a packetizing transport (Sim, UDP) the copy carries the original's
+	// packet id, so the receiver drops it as it drops the network's own
+	// duplicates; on a stream the frame is delivered twice.
 	DupRate float64
 	// Delay is the minimum extra latency added to each datagram.
 	Delay time.Duration
@@ -63,7 +66,9 @@ type Wrapper struct {
 	// one; nil for datagram transports, for which the stream rates are
 	// inert.
 	faulter StreamFaulter
-	cfg     WrapperConfig
+	// ids is the inner transport's packet-id surface when it packetizes.
+	ids packetIDSender
+	cfg WrapperConfig
 
 	mu       sync.Mutex
 	rng      *rand.Rand
@@ -82,6 +87,7 @@ func Wrap(inner Transport, cfg WrapperConfig) *Wrapper {
 	if f, ok := inner.(StreamFaulter); ok {
 		w.faulter = f
 	}
+	w.ids, _ = inner.(packetIDSender)
 	w.idle = sync.NewCond(&w.mu)
 	return w
 }
@@ -151,10 +157,14 @@ func (w *Wrapper) Send(from, to Addr, payload []byte) error {
 	w.inflight += copies
 	w.mu.Unlock()
 
+	var id uint64
+	if w.ids != nil {
+		id = w.ids.nextPacketID()
+	}
 	var firstErr error
 	for _, d := range delays {
 		if d == 0 {
-			if err := w.inner.Send(from, to, payload); err != nil && firstErr == nil {
+			if err := w.submit(id, from, to, payload); err != nil && firstErr == nil {
 				firstErr = err
 			}
 			w.retire()
@@ -165,13 +175,36 @@ func (w *Wrapper) Send(from, to Addr, payload []byte) error {
 		go func(d time.Duration) {
 			defer w.retire()
 			time.Sleep(d)
-			_ = w.inner.Send(from, to, buf)
+			_ = w.submit(id, from, to, buf)
 		}(d)
 	}
 	if stall || reset {
 		w.injectStream(to, reset, stall)
 	}
 	return firstErr
+}
+
+// packetIDSender is implemented by the packetizing transports: every copy
+// of one Send goes out under one packet id.
+type packetIDSender interface {
+	nextPacketID() uint64
+	sendWithID(from, to Addr, id uint64, frame []byte) error
+}
+
+// submit hands one copy of a frame to the inner transport, under id when
+// it packetizes.
+func (w *Wrapper) submit(id uint64, from, to Addr, frame []byte) error {
+	if w.ids != nil {
+		return w.ids.sendWithID(from, to, id, frame)
+	}
+	return w.inner.Send(from, to, frame)
+}
+
+// OnBadPacket implements BadPacketReporter when the inner transport does.
+func (w *Wrapper) OnBadPacket(f func(from Addr)) {
+	if r, ok := w.inner.(BadPacketReporter); ok {
+		r.OnBadPacket(f)
+	}
 }
 
 // injectStream applies a drawn stream fate to the connection now carrying

@@ -95,3 +95,7 @@ type realTimer struct{ t *time.Timer }
 
 func (rt realTimer) C() <-chan time.Time { return rt.t.C }
 func (rt realTimer) Stop() bool          { return rt.t.Stop() }
+
+// Reset re-arms the timer to fire after d, as time.Timer.Reset does, so a
+// wall-clock caller can reuse one timer across waits.
+func (rt realTimer) Reset(d time.Duration) bool { return rt.t.Reset(d) }

@@ -69,15 +69,7 @@ func AppendValue(dst []byte, v xrep.Value) ([]byte, error) {
 		dst = binary.AppendUvarint(dst, uint64(len(x)))
 		return append(dst, x...), nil
 	case xrep.Seq:
-		dst = append(dst, tagSeq)
-		dst = binary.AppendUvarint(dst, uint64(len(x)))
-		var err error
-		for _, e := range x {
-			if dst, err = AppendValue(dst, e); err != nil {
-				return nil, err
-			}
-		}
-		return dst, nil
+		return appendSeq(dst, x)
 	case xrep.Rec:
 		dst = append(dst, tagRec)
 		dst = binary.AppendUvarint(dst, uint64(len(x.Name)))
@@ -91,11 +83,7 @@ func AppendValue(dst []byte, v xrep.Value) ([]byte, error) {
 		}
 		return dst, nil
 	case xrep.PortName:
-		dst = append(dst, tagPort)
-		dst = binary.AppendUvarint(dst, uint64(len(x.Node)))
-		dst = append(dst, x.Node...)
-		dst = binary.AppendUvarint(dst, x.Guardian)
-		return binary.AppendUvarint(dst, x.Port), nil
+		return appendPort(dst, x), nil
 	case xrep.Token:
 		dst = append(dst, tagToken)
 		dst = binary.AppendUvarint(dst, x.Issuer)
@@ -106,6 +94,28 @@ func AppendValue(dst []byte, v xrep.Value) ([]byte, error) {
 	default:
 		return nil, fmt.Errorf("wire: cannot encode %T", v)
 	}
+}
+
+// appendSeq is AppendValue for a sequence, without boxing it.
+func appendSeq(dst []byte, s xrep.Seq) ([]byte, error) {
+	dst = append(dst, tagSeq)
+	dst = binary.AppendUvarint(dst, uint64(len(s)))
+	var err error
+	for _, e := range s {
+		if dst, err = AppendValue(dst, e); err != nil {
+			return nil, err
+		}
+	}
+	return dst, nil
+}
+
+// appendPort is AppendValue for a port name, without boxing it.
+func appendPort(dst []byte, p xrep.PortName) []byte {
+	dst = append(dst, tagPort)
+	dst = binary.AppendUvarint(dst, uint64(len(p.Node)))
+	dst = append(dst, p.Node...)
+	dst = binary.AppendUvarint(dst, p.Guardian)
+	return binary.AppendUvarint(dst, p.Port)
 }
 
 // MarshalValue returns the wire encoding of v.
@@ -208,18 +218,9 @@ func (r *reader) value(depth int) (xrep.Value, error) {
 		copy(out, b)
 		return xrep.Bytes(out), nil
 	case tagSeq:
-		n, err := r.uvarint()
+		seq, err := r.seq(depth)
 		if err != nil {
 			return nil, err
-		}
-		if n > uint64(r.remaining()) {
-			return nil, ErrOversize // each element needs ≥1 byte
-		}
-		seq := make(xrep.Seq, n)
-		for i := range seq {
-			if seq[i], err = r.value(depth + 1); err != nil {
-				return nil, err
-			}
 		}
 		return seq, nil
 	case tagRec:
@@ -246,23 +247,11 @@ func (r *reader) value(depth int) (xrep.Value, error) {
 		}
 		return xrep.Rec{Name: string(name), Fields: fields}, nil
 	case tagPort:
-		n, err := r.uvarint()
+		p, err := r.port()
 		if err != nil {
 			return nil, err
 		}
-		node, err := r.take(n)
-		if err != nil {
-			return nil, err
-		}
-		g, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		p, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		return xrep.PortName{Node: string(node), Guardian: g, Port: p}, nil
+		return p, nil
 	case tagToken:
 		issuer, err := r.uvarint()
 		if err != nil {
@@ -294,10 +283,58 @@ func (r *reader) value(depth int) (xrep.Value, error) {
 	}
 }
 
+// peekTag returns the tag of the next value without consuming it; past
+// the end it returns an invalid tag.
+func (r *reader) peekTag() byte {
+	if r.off >= len(r.buf) {
+		return 0xFF
+	}
+	return r.buf[r.off]
+}
+
+// seq decodes the body of a sequence whose tag has been consumed.
+func (r *reader) seq(depth int) (xrep.Seq, error) {
+	n, err := r.uvarint()
+	if err != nil {
+		return nil, err
+	}
+	if n > uint64(r.remaining()) {
+		return nil, ErrOversize // each element needs ≥1 byte
+	}
+	seq := make(xrep.Seq, n)
+	for i := range seq {
+		if seq[i], err = r.value(depth + 1); err != nil {
+			return nil, err
+		}
+	}
+	return seq, nil
+}
+
+// port decodes the body of a port name whose tag has been consumed.
+func (r *reader) port() (xrep.PortName, error) {
+	n, err := r.uvarint()
+	if err != nil {
+		return xrep.PortName{}, err
+	}
+	node, err := r.take(n)
+	if err != nil {
+		return xrep.PortName{}, err
+	}
+	g, err := r.uvarint()
+	if err != nil {
+		return xrep.PortName{}, err
+	}
+	p, err := r.uvarint()
+	if err != nil {
+		return xrep.PortName{}, err
+	}
+	return xrep.PortName{Node: string(node), Guardian: g, Port: p}, nil
+}
+
 // UnmarshalValue decodes a single value, requiring the buffer to be fully
 // consumed.
 func UnmarshalValue(buf []byte) (xrep.Value, error) {
-	r := &reader{buf: buf}
+	r := reader{buf: buf}
 	v, err := r.value(0)
 	if err != nil {
 		return nil, err

@@ -37,38 +37,47 @@ const packetOverhead = 1 + 8 + 5 + 5 + 5 + 4
 // mtu is zero or the frame (plus one header) fits, a single packet is
 // produced. The msgID ties the fragments back together at the receiver.
 func Fragment(msgID uint64, frame []byte, mtu int) ([][]byte, error) {
-	if len(frame) == 0 {
-		return nil, errors.New("wire: empty frame")
+	count, chunk, err := PacketCount(len(frame), mtu)
+	if err != nil {
+		return nil, err
 	}
-	chunk := len(frame)
+	out := make([][]byte, 0, count)
+	for i := 0; i < count; i++ {
+		payload := frame[i*chunk : min((i+1)*chunk, len(frame))]
+		out = append(out, AppendPacket(make([]byte, 0, len(payload)+packetOverhead), msgID, i, count, payload))
+	}
+	return out, nil
+}
+
+// PacketCount reports how many packets of at most mtu bytes a frame of
+// frameLen bytes needs, and how many frame bytes each carries (the last
+// may carry fewer). A zero mtu means one packet.
+func PacketCount(frameLen, mtu int) (count, chunk int, err error) {
+	if frameLen == 0 {
+		return 0, 0, errors.New("wire: empty frame")
+	}
+	chunk = frameLen
 	if mtu > 0 {
 		avail := mtu - packetOverhead
 		if avail <= 0 {
-			return nil, fmt.Errorf("wire: MTU %d cannot fit packet overhead %d", mtu, packetOverhead)
+			return 0, 0, fmt.Errorf("wire: MTU %d cannot fit packet overhead %d", mtu, packetOverhead)
 		}
-		if avail < chunk {
-			chunk = avail
-		}
+		chunk = min(chunk, avail)
 	}
-	count := (len(frame) + chunk - 1) / chunk
-	out := make([][]byte, 0, count)
-	for i := 0; i < count; i++ {
-		lo, hi := i*chunk, (i+1)*chunk
-		if hi > len(frame) {
-			hi = len(frame)
-		}
-		payload := frame[lo:hi]
-		pkt := make([]byte, 0, len(payload)+packetOverhead)
-		pkt = append(pkt, packetMagic)
-		pkt = binary.BigEndian.AppendUint64(pkt, msgID)
-		pkt = binary.AppendUvarint(pkt, uint64(i))
-		pkt = binary.AppendUvarint(pkt, uint64(count))
-		pkt = binary.AppendUvarint(pkt, uint64(len(payload)))
-		pkt = append(pkt, payload...)
-		pkt = binary.BigEndian.AppendUint32(pkt, crc32.Checksum(pkt, crcTable))
-		out = append(out, pkt)
-	}
-	return out, nil
+	return (frameLen + chunk - 1) / chunk, chunk, nil
+}
+
+// AppendPacket appends packet index of count, carrying payload under
+// msgID, to dst: the header, the payload and the trailing checksum.
+func AppendPacket(dst []byte, msgID uint64, index, count int, payload []byte) []byte {
+	start := len(dst)
+	dst = append(dst, packetMagic)
+	dst = binary.BigEndian.AppendUint64(dst, msgID)
+	dst = binary.AppendUvarint(dst, uint64(index))
+	dst = binary.AppendUvarint(dst, uint64(count))
+	dst = binary.AppendUvarint(dst, uint64(len(payload)))
+	dst = append(dst, payload...)
+	return binary.BigEndian.AppendUint32(dst, crc32.Checksum(dst[start:], crcTable))
 }
 
 // parsedPacket is one decoded, checksum-verified fragment.
@@ -82,40 +91,41 @@ type parsedPacket struct {
 // parsePacket verifies the packet checksum and decodes the header. Corrupt
 // packets fail here and are dropped, which is how "the bits of the message
 // are not in error" is enforced.
-func parsePacket(pkt []byte) (*parsedPacket, error) {
+func parsePacket(pkt []byte) (parsedPacket, error) {
+	var p parsedPacket
 	// Minimum well-formed packet: magic(1) + id(8) + three 1-byte varints
 	// + empty payload + CRC(4).
 	if len(pkt) < 16 {
-		return nil, ErrBadPacket
+		return p, ErrBadPacket
 	}
 	body, sum := pkt[:len(pkt)-4], binary.BigEndian.Uint32(pkt[len(pkt)-4:])
 	if crc32.Checksum(body, crcTable) != sum {
-		return nil, ErrPacketCRC
+		return p, ErrPacketCRC
 	}
 	if body[0] != packetMagic {
-		return nil, ErrBadPacket
+		return p, ErrBadPacket
 	}
-	r := &reader{buf: body, off: 1}
+	r := reader{buf: body, off: 1}
 	idBytes, err := r.take(8)
 	if err != nil {
-		return nil, ErrBadPacket
+		return p, ErrBadPacket
 	}
-	p := &parsedPacket{msgID: binary.BigEndian.Uint64(idBytes)}
+	p.msgID = binary.BigEndian.Uint64(idBytes)
 	if p.index, err = r.uvarint(); err != nil {
-		return nil, ErrBadPacket
+		return p, ErrBadPacket
 	}
 	if p.count, err = r.uvarint(); err != nil {
-		return nil, ErrBadPacket
+		return p, ErrBadPacket
 	}
 	n, err := r.uvarint()
 	if err != nil {
-		return nil, ErrBadPacket
+		return p, ErrBadPacket
 	}
 	if p.payload, err = r.take(n); err != nil {
-		return nil, ErrBadPacket
+		return p, ErrBadPacket
 	}
 	if r.remaining() != 0 || p.count == 0 || p.index >= p.count {
-		return nil, ErrBadPacket
+		return p, ErrBadPacket
 	}
 	return p, nil
 }
@@ -155,7 +165,10 @@ func NewReassembler() *Reassembler {
 // Add processes one packet from sender. When the packet completes a
 // message it returns the reassembled frame bytes; otherwise it returns nil.
 // Corrupt or inconsistent packets return an error and are dropped. now is
-// the receiver's clock reading, used for age-based eviction.
+// the receiver's clock reading, used for age-based eviction. A message of
+// one packet is returned in place, as a subslice of pkt, so the caller
+// must not reuse pkt while it holds that frame; a longer message is
+// assembled into a fresh buffer.
 func (ra *Reassembler) Add(sender string, pkt []byte, now time.Time) ([]byte, error) {
 	p, err := parsePacket(pkt)
 	if err != nil {
@@ -168,6 +181,10 @@ func (ra *Reassembler) Add(sender string, pkt []byte, now time.Time) ([]byte, er
 		return nil, nil // duplicate of an already-delivered message
 	}
 	st, ok := ra.pending[key]
+	if !ok && p.count == 1 {
+		ra.completed[key] = now
+		return p.payload, nil
+	}
 	if !ok {
 		st = &reasmState{parts: make([][]byte, p.count), count: int(p.count), firstAdd: now}
 		ra.pending[key] = st

@@ -56,121 +56,154 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // "redundant information for error detection" the paper assigns to the
 // system.
 func (f *Frame) Marshal() ([]byte, error) {
-	buf := make([]byte, 0, 64+len(f.Command))
-	buf = binary.BigEndian.AppendUint32(buf, frameMagic)
+	return f.AppendMarshal(make([]byte, 0, 64+len(f.Command)))
+}
+
+// AppendMarshal appends the frame's encoding, checksum included, to dst
+// and returns the extended slice — Marshal into a buffer the caller
+// reuses.
+func (f *Frame) AppendMarshal(dst []byte) ([]byte, error) {
+	start := len(dst)
+	buf := binary.BigEndian.AppendUint32(dst, frameMagic)
 	buf = append(buf, frameVersion)
 	flags := byte(0)
 	if !f.ReplyTo.IsZero() {
 		flags |= flagHasReply
 	}
 	buf = append(buf, flags)
-	var err error
-	if buf, err = AppendValue(buf, f.Dest); err != nil {
-		return nil, err
-	}
+	buf = appendPort(buf, f.Dest)
 	buf = binary.AppendUvarint(buf, uint64(len(f.SrcNode)))
 	buf = append(buf, f.SrcNode...)
 	buf = binary.AppendUvarint(buf, f.MsgID)
 	buf = binary.AppendUvarint(buf, f.SrcGuardian)
 	buf = binary.AppendUvarint(buf, uint64(len(f.Command)))
 	buf = append(buf, f.Command...)
-	if buf, err = AppendValue(buf, f.Args); err != nil {
+	buf, err := appendSeq(buf, f.Args)
+	if err != nil {
 		return nil, err
 	}
 	if flags&flagHasReply != 0 {
-		if buf, err = AppendValue(buf, f.ReplyTo); err != nil {
-			return nil, err
-		}
+		buf = appendPort(buf, f.ReplyTo)
 	}
-	return binary.BigEndian.AppendUint32(buf, crc32.Checksum(buf, crcTable)), nil
+	return binary.BigEndian.AppendUint32(buf, crc32.Checksum(buf[start:], crcTable)), nil
 }
 
 // UnmarshalFrame verifies the checksum and decodes a frame. A checksum
 // mismatch returns ErrBadChecksum; the runtime discards such messages, so a
 // corrupted message is never forwarded to its target port.
 func UnmarshalFrame(buf []byte) (*Frame, error) {
+	f := &Frame{}
+	if err := f.Unmarshal(buf); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// Unmarshal is UnmarshalFrame into f, for a caller that keeps the frame
+// off the heap. The decoded frame shares no memory with buf. On error f
+// holds whatever had been decoded.
+func (f *Frame) Unmarshal(buf []byte) error {
 	if len(buf) < 10 {
-		return nil, ErrFrameShort
+		return ErrFrameShort
 	}
 	body, sum := buf[:len(buf)-4], binary.BigEndian.Uint32(buf[len(buf)-4:])
 	if crc32.Checksum(body, crcTable) != sum {
-		return nil, ErrBadChecksum
+		return ErrBadChecksum
 	}
-	r := &reader{buf: body}
+	r := reader{buf: body}
 	magic, err := r.take(4)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if binary.BigEndian.Uint32(magic) != frameMagic {
-		return nil, ErrBadMagic
+		return ErrBadMagic
 	}
 	ver, err := r.byte()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if ver != frameVersion {
-		return nil, fmt.Errorf("%w: %d", ErrBadVersion, ver)
+		return fmt.Errorf("%w: %d", ErrBadVersion, ver)
 	}
 	flags, err := r.byte()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	f := &Frame{}
-	destV, err := r.value(0)
-	if err != nil {
-		return nil, fmt.Errorf("wire: frame dest: %w", err)
+	if f.Dest, err = r.framePort("dest"); err != nil {
+		return err
 	}
-	dest, ok := destV.(xrep.PortName)
-	if !ok {
-		return nil, errors.New("wire: frame dest is not a port name")
-	}
-	f.Dest = dest
 	n, err := r.uvarint()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	src, err := r.take(n)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	f.SrcNode = string(src)
 	if f.MsgID, err = r.uvarint(); err != nil {
-		return nil, err
+		return err
 	}
 	if f.SrcGuardian, err = r.uvarint(); err != nil {
-		return nil, err
+		return err
 	}
 	cn, err := r.uvarint()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	cmd, err := r.take(cn)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	f.Command = string(cmd)
-	argsV, err := r.value(0)
+	if f.Args, err = r.frameArgs(); err != nil {
+		return err
+	}
+	f.ReplyTo = xrep.PortName{}
+	if flags&flagHasReply != 0 {
+		if f.ReplyTo, err = r.framePort("replyto"); err != nil {
+			return err
+		}
+	}
+	if r.remaining() != 0 {
+		return fmt.Errorf("wire: %d trailing bytes in frame", r.remaining())
+	}
+	return nil
+}
+
+// framePort decodes a frame field that must be a port name, without
+// boxing it in an xrep.Value.
+func (r *reader) framePort(field string) (xrep.PortName, error) {
+	if r.peekTag() != tagPort {
+		return xrep.PortName{}, r.wrongKind(field, "a port name")
+	}
+	r.off++
+	p, err := r.port()
+	if err != nil {
+		return p, fmt.Errorf("wire: frame %s: %w", field, err)
+	}
+	return p, nil
+}
+
+// frameArgs decodes the frame's argument sequence, without boxing it in
+// an xrep.Value.
+func (r *reader) frameArgs() (xrep.Seq, error) {
+	if r.peekTag() != tagSeq {
+		return nil, r.wrongKind("args", "a sequence")
+	}
+	r.off++
+	seq, err := r.seq(0)
 	if err != nil {
 		return nil, fmt.Errorf("wire: frame args: %w", err)
 	}
-	args, ok := argsV.(xrep.Seq)
-	if !ok {
-		return nil, errors.New("wire: frame args are not a sequence")
+	return seq, nil
+}
+
+// wrongKind reports a frame field holding a value of the wrong kind, or
+// the error that stopped it from decoding at all.
+func (r *reader) wrongKind(field, want string) error {
+	if _, err := r.value(0); err != nil {
+		return fmt.Errorf("wire: frame %s: %w", field, err)
 	}
-	f.Args = args
-	if flags&flagHasReply != 0 {
-		rv, err := r.value(0)
-		if err != nil {
-			return nil, fmt.Errorf("wire: frame replyto: %w", err)
-		}
-		rp, ok := rv.(xrep.PortName)
-		if !ok {
-			return nil, errors.New("wire: frame replyto is not a port name")
-		}
-		f.ReplyTo = rp
-	}
-	if r.remaining() != 0 {
-		return nil, fmt.Errorf("wire: %d trailing bytes in frame", r.remaining())
-	}
-	return f, nil
+	return fmt.Errorf("wire: frame %s is not %s", field, want)
 }

@@ -63,11 +63,35 @@ func (l Limits) CheckInt(v int64) error {
 // called by the message layer at encode time, so a violating value can
 // never leave its node.
 func (l Limits) Validate(v Value) error {
-	maxDepth := l.MaxDepth
-	if maxDepth == 0 {
-		maxDepth = 64
+	return l.validate(v, 0, l.maxDepth())
+}
+
+// ValidateSeq is Validate for a sequence — a message's argument list —
+// without boxing it in a Value.
+func (l Limits) ValidateSeq(s Seq) error {
+	return l.validateSeq(s, 0, l.maxDepth())
+}
+
+func (l Limits) maxDepth() int {
+	if l.MaxDepth == 0 {
+		return 64
 	}
-	return l.validate(v, 0, maxDepth)
+	return l.MaxDepth
+}
+
+func (l Limits) validateSeq(s Seq, depth, maxDepth int) error {
+	if maxDepth > 0 && depth > maxDepth {
+		return fmt.Errorf("%w: depth %d", ErrTooDeep, depth)
+	}
+	if l.MaxSeqLen > 0 && len(s) > l.MaxSeqLen {
+		return fmt.Errorf("%w: sequence of %d", ErrTooLong, len(s))
+	}
+	for i, e := range s {
+		if err := l.validate(e, depth+1, maxDepth); err != nil {
+			return fmt.Errorf("seq[%d]: %w", i, err)
+		}
+	}
+	return nil
 }
 
 func (l Limits) validate(v Value, depth, maxDepth int) error {
@@ -98,15 +122,7 @@ func (l Limits) validate(v Value, depth, maxDepth int) error {
 		}
 		return nil
 	case Seq:
-		if l.MaxSeqLen > 0 && len(x) > l.MaxSeqLen {
-			return fmt.Errorf("%w: sequence of %d", ErrTooLong, len(x))
-		}
-		for i, e := range x {
-			if err := l.validate(e, depth+1, maxDepth); err != nil {
-				return fmt.Errorf("seq[%d]: %w", i, err)
-			}
-		}
-		return nil
+		return l.validateSeq(x, depth, maxDepth)
 	case Rec:
 		if x.Name == "" {
 			return ErrEmptyName
